@@ -40,7 +40,7 @@ func (rp *report) ok() bool { return rp.checks == 0 }
 
 // checkResult is the per-result correctness check: one part per vertex,
 // every part in [0,k), imbalance within the requested tolerance, and the
-// driver's own metrics.Evaluate reproducing the reported comm cost.
+// benchmark's own metrics.Evaluate reproducing the reported comm cost.
 func checkResult(in *input, res *hyperpraw.JobResult) error {
 	h := in.graph
 	k := in.wire.Machine.Cores
@@ -70,7 +70,7 @@ func checkResult(in *input, res *hyperpraw.JobResult) error {
 
 // verifyAll checks every outcome of the window, two requests at a time.
 // Failed operations count against the run; each computed result is checked
-// against the driver's own copy of its input, and every repeat must return
+// against the benchmark's own copy of its input, and every repeat must return
 // exactly the payload its request first computed.
 func verifyAll(w workload, r *runner, tr *tracer) *report {
 	rp := &report{}
@@ -110,7 +110,7 @@ func verifyAll(w workload, r *runner, tr *tracer) *report {
 func verifyRequest(ctx context.Context, w workload, tr *tracer, rp *report, i int, outs []*outcome) {
 	in, err := w.input(i)
 	if err != nil {
-		rp.fail("request %d: building the driver's copy: %v", i, err)
+		rp.fail("request %d: building the benchmark's copy: %v", i, err)
 		return
 	}
 	var computed *hyperpraw.JobResult

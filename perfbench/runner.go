@@ -42,7 +42,7 @@ const (
 	opUpload  opKind = "upload"  // a chunked hypergraph upload
 )
 
-// outcome is one client operation as the driver saw it.
+// outcome is one client operation as the benchmark saw it.
 type outcome struct {
 	kind   opKind
 	req    int // index into the workload's request list
@@ -220,7 +220,7 @@ func execute(w workload, opts runOptions, h host) (*result, error) {
 	before := snapshotCaches(st)
 	wall := r.window(ctx, func(ctx context.Context, c int) bool { return w.step(ctx, r, st, c) })
 	after := snapshotCaches(st)
-	rss := peakRSSMB() // before verification, which holds the driver's copies
+	rss := peakRSSMB() // before verification, which holds the benchmark's own copies
 
 	rep := verifyAll(w, r, tr)
 	if err := checkCacheDesign(w, r, st, before, after); err != nil {

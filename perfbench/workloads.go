@@ -32,7 +32,7 @@ type workload interface {
 	// refPrefix is how many leading requests comm_cost and
 	// sim_makespan_s average over.
 	refPrefix() int
-	// input returns the driver's own copy of request i: the graph, the
+	// input returns the benchmark's own copy of request i: the graph, the
 	// environment of its machine and the tolerance it asked for.
 	input(i int) (*input, error)
 	// repeats reports whether the workload resubmits finished requests,
@@ -73,7 +73,7 @@ var (
 	archer32  = hyperpraw.MachineSpec{Kind: "archer", Cores: 32, Seed: 1}
 )
 
-// profileAll profiles every machine once, for the driver's own checks.
+// profileAll profiles every machine once, for the benchmark's own checks.
 func profileAll(specs ...hyperpraw.MachineSpec) (map[string]*hyperpraw.Environment, error) {
 	envs := map[string]*hyperpraw.Environment{}
 	for _, s := range specs {
