@@ -28,22 +28,29 @@ vet:
 # sudogs after a GC clears its caches, and at 3x that one-time noise can
 # round up to 1 allocs/op; 30 iterations amortise it back below the
 # integer floor without inflating the job (a warm superstep is ~10^-1 s).
+# The hMETIS parser benches (batch and streaming, on a ~16 KB inline-sized
+# document) record B/op, which -compare gates against growth.
+PARSE_BENCH := 'Benchmark(ReadHMetis|ParseHMetisStream)$$'
+
 bench:
 	set -o pipefail; \
 	{ $(GO) test -run '^$$' -bench 'BenchmarkStream' -benchtime 3x -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkParallel(Aware|Uniform)' -benchtime 30x -benchmem ./internal/core/; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkParallel(Aware|Uniform)' -benchtime 30x -benchmem ./internal/core/ && \
+	  $(GO) test -run '^$$' -bench $(PARSE_BENCH) -benchtime 200x -benchmem ./internal/hypergraph/; } \
 		| $(GO) run ./cmd/benchfmt -o BENCH_core.json
 
 # bench-compare re-runs the smoke benchmarks (same sampling as the
 # committed baseline) and fails if any exhaustive/fast speedup family or
 # parallel_speedup curve collapsed by more than 1.5x against
 # BENCH_core.json, or if a benchmark the baseline records at zero
-# allocs/op started allocating — the CI guard against fast-path reverts
-# and worker pools that quietly serialise.
+# allocs/op started allocating, or one it records at 1 KiB/op or more grew
+# its B/op past the threshold — the CI guard against fast-path reverts,
+# worker pools that quietly serialise, and parser buffer bloat.
 bench-compare:
 	set -o pipefail; \
 	{ $(GO) test -run '^$$' -bench 'BenchmarkStream' -benchtime 3x -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkParallel(Aware|Uniform)' -benchtime 30x -benchmem ./internal/core/; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkParallel(Aware|Uniform)' -benchtime 30x -benchmem ./internal/core/ && \
+	  $(GO) test -run '^$$' -bench $(PARSE_BENCH) -benchtime 200x -benchmem ./internal/hypergraph/; } \
 		| $(GO) run ./cmd/benchfmt -o BENCH_new.json -compare BENCH_core.json -threshold 1.5
 
 bins:

@@ -11,7 +11,7 @@
 //	    Instance:  &hyperpraw.InstanceSpec{Name: "sparsine", Scale: 0.01},
 //	})
 //
-// Beyond submit/poll/result the client supports batch submission
+// Beyond submit/wait/result the client supports batch submission
 // (SubmitBatch), live per-iteration progress over SSE (StreamProgress),
 // and a retry policy (Retry) for flaky links.
 package client
@@ -101,9 +101,6 @@ type RetryPolicy struct {
 type Client struct {
 	base string
 	hc   *http.Client
-	// Poll is the interval Wait and Partition use between status checks
-	// (default 50ms).
-	Poll time.Duration
 	// Retry is the transparent retry policy; the zero value disables
 	// retries.
 	Retry RetryPolicy
@@ -115,7 +112,7 @@ func New(baseURL string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{base: strings.TrimRight(baseURL, "/"), hc: httpClient, Poll: 50 * time.Millisecond}
+	return &Client{base: strings.TrimRight(baseURL, "/"), hc: httpClient}
 }
 
 // Submit enqueues a partition job and returns its initial JobInfo.
@@ -213,7 +210,7 @@ func (c *Client) Result(ctx context.Context, id string) (*hyperpraw.JobResult, e
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp)
 	switch resp.StatusCode {
 	case http.StatusOK:
 		var res hyperpraw.JobResult
@@ -228,25 +225,39 @@ func (c *Client) Result(ctx context.Context, id string) (*hyperpraw.JobResult, e
 	}
 }
 
-// Wait polls until the job finishes, then returns its result.
+// Wait blocks until the job finishes, then returns its result. It asks
+// for the result once; a job that is not finished yet is awaited on its
+// SSE event stream (StreamProgress) and fetched once the final frame
+// arrives, so Wait returns as soon as the job does instead of on a poll
+// tick. A stream that ends without a final frame falls through to the
+// same result call; if the job is still unfinished, Wait re-subscribes
+// after the retry policy's backoff. A failed job returns its 422
+// APIError; ctx cancellation returns ctx.Err().
 func (c *Client) Wait(ctx context.Context, id string) (*hyperpraw.JobResult, error) {
-	poll := c.Poll
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		res, err := c.Result(ctx, id)
-		if !errors.Is(err, ErrNotDone) {
-			return res, err
+	res, err := c.Result(ctx, id)
+	after := 0
+	for attempt := 1; errors.Is(err, ErrNotDone); attempt++ {
+		if attempt > 1 {
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-time.After(c.retryWait(attempt-1, nil)):
+			}
 		}
-		select {
-		case <-ctx.Done():
+		// The stream's own outcome does not matter: a final frame, an
+		// early end and a refused subscription all leave the verdict to
+		// the result call below.
+		//nolint:errcheck
+		c.StreamProgress(ctx, id, after, func(ev hyperpraw.ProgressEvent) error {
+			after = ev.Seq
+			return nil
+		})
+		if ctx.Err() != nil {
 			return nil, ctx.Err()
-		case <-ticker.C:
 		}
+		res, err = c.Result(ctx, id)
 	}
+	return res, err
 }
 
 // Partition submits req and waits for its result — the synchronous
@@ -283,7 +294,7 @@ func (c *Client) StreamProgress(ctx context.Context, id string, after int, fn fu
 	}
 
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 4<<10), 1<<20) // frames are small; grow only for long histories
 	var data []byte
 	for sc.Scan() {
 		line := sc.Text()
@@ -300,6 +311,9 @@ func (c *Client) StreamProgress(ctx context.Context, id string, after int, fn fu
 				return err
 			}
 			if ev.Final {
+				// Both tiers end the response right after the final
+				// frame; reading it to the end keeps the connection.
+				drainClose(resp)
 				return nil
 			}
 			continue
@@ -476,7 +490,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, conte
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp)
 	if resp.StatusCode != wantStatus {
 		return apiError(resp)
 	}
@@ -484,6 +498,15 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, conte
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// drainClose reads what is left of a response body (up to a small bound)
+// before closing it: a body closed before its end costs the keep-alive
+// connection, and a 202 or a decoded JSON document usually leaves a
+// trailing newline or chunk terminator unread.
+func drainClose(resp *http.Response) {
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10)) //nolint:errcheck
+	resp.Body.Close()
 }
 
 // apiError decodes a non-2xx response body into an APIError. It accepts

@@ -14,12 +14,13 @@
 // With -compare BASELINE.json the new report is additionally checked
 // against a committed baseline: the per-family exhaustive/fast speedup
 // ratios must not have collapsed by more than -threshold (default 1.5),
-// and any benchmark the baseline records at zero allocs/op must still
-// allocate nothing. Speedups are within-run ratios and alloc counts are
-// exact, so both checks are robust to the absolute timing noise of CI
-// machines while still catching a fast-path revert — a reverted fast
-// kernel drags its family's speedup to ~1x, which trips the threshold no
-// matter how fast or slow the runner is.
+// any benchmark the baseline records at zero allocs/op must still
+// allocate nothing, and one the baseline records at 1 KiB/op or more must
+// not grow its B/op past -threshold. Speedups are within-run ratios and
+// alloc and byte counts are set by the code, so these checks are robust
+// to the absolute timing noise of CI machines while still catching a
+// fast-path revert — a reverted fast kernel drags its family's speedup to
+// ~1x, which trips the threshold no matter how fast or slow the runner is.
 package main
 
 import (
@@ -64,7 +65,11 @@ type report struct {
 	ParallelSpeedups map[string]float64 `json:"parallel_speedup,omitempty"`
 }
 
-var lineRE = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// minBytesGated is the smallest baseline B/op the compare guard holds a
+// benchmark to.
+const minBytesGated = 1024
+
+var lineRE = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+([0-9.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 // parseWorkers recognises the "w=N" path segment of a worker-swept
 // sub-benchmark name.
@@ -252,8 +257,11 @@ func sortedKeys(m map[string]float64) []string {
 // multi-worker point toward the w=1 baseline) fails the run. It also guards
 // the allocation contract: a benchmark that the baseline records at zero
 // allocs/op must stay at zero (alloc counts, unlike timings, are
-// machine-independent and exact). New families absent from the baseline
-// pass: the guard rejects regressions, not additions.
+// machine-independent and exact), and a benchmark recorded at
+// minBytesGated B/op or more must not grow its B/op by more than threshold
+// (allocation volume is set by the code, not the machine; smaller figures
+// are runtime noise such as channel-park sudogs). New families absent from
+// the baseline pass: the guard rejects regressions, not additions.
 func compareBaseline(logw *os.File, path string, rep report, threshold float64) error {
 	if threshold <= 0 {
 		return fmt.Errorf("threshold must be positive, got %g", threshold)
@@ -315,8 +323,20 @@ func compareBaseline(logw *os.File, path string, rep report, threshold float64) 
 		fmt.Fprintf(logw, "compare %-40s base %5.2fx new %5.2fx  %s (parallel)\n", k, baseS, newS, verdict)
 	}
 	newAllocs := map[string]*int64{}
+	newBytes := map[string]*float64{}
 	for _, b := range rep.Benchmarks {
 		newAllocs[b.Name] = b.AllocsPerOp
+		newBytes[b.Name] = b.BytesPerOp
+	}
+	for _, b := range base.Benchmarks {
+		if b.BytesPerOp == nil || *b.BytesPerOp < minBytesGated || newBytes[b.Name] == nil {
+			continue
+		}
+		baseB, newB := *b.BytesPerOp, *newBytes[b.Name]
+		if newB > threshold*baseB {
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %.0f B/op vs baseline %.0f (ratio %.2f > %.2f)", b.Name, newB, baseB, newB/baseB, threshold))
+		}
 	}
 	for _, b := range base.Benchmarks {
 		if b.AllocsPerOp == nil || *b.AllocsPerOp != 0 {

@@ -176,3 +176,36 @@ func TestCompareBaselineAllocGuard(t *testing.T) {
 		t.Fatalf("missing alloc data not flagged: %v", err)
 	}
 }
+
+// TestCompareBaselineBytesGuard: a benchmark the baseline records at
+// 1 KiB/op or more fails the compare when its B/op grows past the
+// threshold; growth within it, and noise on small figures, pass.
+func TestCompareBaselineBytesGuard(t *testing.T) {
+	b := func(name string, bytes float64) benchLine {
+		return benchLine{Name: name, NsPerOp: 1, BytesPerOp: &bytes}
+	}
+	speedups := map[string]float64{"BenchmarkStream/p=256": 4.0}
+	base := report{
+		Benchmarks: []benchLine{b("BenchmarkReadHMetis", 400_000), b("BenchmarkParallelUniform/w=8/p=256", 78)},
+		Speedups:   speedups,
+	}
+	path := writeBaseline(t, base)
+	sink := devNull(t)
+
+	ok := report{
+		Benchmarks: []benchLine{b("BenchmarkReadHMetis", 500_000), b("BenchmarkParallelUniform/w=8/p=256", 400)},
+		Speedups:   speedups,
+	}
+	if err := compareBaseline(sink, path, ok, 1.5); err != nil {
+		t.Fatalf("within-threshold B/op rejected: %v", err)
+	}
+
+	grown := report{
+		Benchmarks: []benchLine{b("BenchmarkReadHMetis", 1_400_000), b("BenchmarkParallelUniform/w=8/p=256", 78)},
+		Speedups:   speedups,
+	}
+	err := compareBaseline(sink, path, grown, 1.5)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkReadHMetis") || !strings.Contains(err.Error(), "B/op") {
+		t.Fatalf("B/op regression not flagged: %v", err)
+	}
+}

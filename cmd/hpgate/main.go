@@ -76,7 +76,7 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "default membership lease granted to self-registered members that do not request one")
 	resultCacheBytes := flag.Int64("result-cache-bytes", 0, "gateway result cache byte budget; repeat submissions of an identical request are answered without touching a backend (0 = disabled)")
 	graphDir := flag.String("graph-store", "", "gateway hypergraph arena directory; uploaded graphs are mmap-backed and survive restarts (empty = memory-only)")
-	graphCacheBytes := flag.Int64("graph-cache-bytes", 0, "resident arena byte budget for the gateway's graph store (0 = unlimited)")
+	graphCacheBytes := flag.Int64("graph-cache-bytes", 0, "resident arena byte budget for the gateway's graph store; over it unreferenced uploaded graphs are evicted LRU-first (0 = unlimited)")
 	maxUploadBytes := flag.Int64("max-upload-bytes", 0, "one hypergraph upload's byte limit (0 = 4GiB default)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline")
 	pprofAddr := flag.String("pprof", "", "pprof listen address (e.g. localhost:6060); empty disables profiling")

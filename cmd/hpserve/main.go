@@ -64,7 +64,7 @@ func main() {
 	resultCache := flag.Int("result-cache", 128, "partition-result LRU entries")
 	storeDir := flag.String("store", "", "durable job store directory; jobs survive a restart (empty = in-memory only)")
 	graphDir := flag.String("graph-store", "", "hypergraph arena directory; committed graphs are mmap-backed and survive restarts (empty = memory-only arenas)")
-	graphCacheBytes := flag.Int64("graph-cache-bytes", 0, "resident arena byte budget; over it unreferenced graphs are evicted LRU-first (0 = unlimited)")
+	graphCacheBytes := flag.Int64("graph-cache-bytes", 0, "resident arena byte budget; over it unreferenced uploaded graphs are evicted LRU-first (0 = unlimited; inline-request graphs are dropped when their last job finishes)")
 	maxUploadBytes := flag.Int64("max-upload-bytes", 0, "one hypergraph upload's byte limit (0 = 4GiB default)")
 	announce := flag.String("announce", "", "hpgate base URL to register this node with (empty = no registration)")
 	advertise := flag.String("advertise", "", "base URL the gateway should dial this node at (default derived from -addr)")

@@ -232,6 +232,10 @@ type gwJob struct {
 	info        hyperpraw.JobInfo
 	failovers   int
 	terminal    atomic.Bool
+	// stale marks a terminal transition made by Result without the
+	// backend's record (its timings); the first Job call after it merges
+	// that record, keeping the result path to one backend request.
+	stale bool
 	// cached is set when the submission was answered from the gateway's
 	// result cache: the job never touched a backend and serves this
 	// payload directly.
@@ -978,6 +982,9 @@ func (g *Gateway) Job(ctx context.Context, id string) (hyperpraw.JobInfo, error)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.terminal.Load() {
+		if j.stale {
+			g.refreshTerminalLocked(ctx, j)
+		}
 		return j.info, nil
 	}
 	b, ok := g.backendFor(j.backendURL)
@@ -1011,6 +1018,28 @@ func (g *Gateway) Job(ctx context.Context, id string) (hyperpraw.JobInfo, error)
 		return j.info, err
 	}
 	return j.info, nil
+}
+
+// refreshTerminalLocked merges the backend's record of a job Result made
+// terminal (StartedAt, FinishedAt, ExecMS, QueueWaitMS). A backend that
+// cannot answer, or whose record disagrees with the settled status, leaves
+// the gateway's view as it is — it stays correct, just without timings —
+// and the next Job call tries again. Caller holds j.mu.
+func (g *Gateway) refreshTerminalLocked(ctx context.Context, j *gwJob) {
+	b, ok := g.backendFor(j.backendURL)
+	if !ok {
+		return
+	}
+	callCtx, cancel := context.WithTimeout(telemetry.WithTrace(ctx, j.info.Trace), g.cfg.ProxyTimeout)
+	start := time.Now()
+	info, err := b.cli.Job(callCtx, j.backendID)
+	cancel()
+	g.metrics.backendRequest(b.url, "job", err, time.Since(start))
+	if err != nil || info.Status != j.info.Status {
+		return
+	}
+	g.mergeInfoLocked(j, info)
+	j.stale = false
 }
 
 // Result polls the job's result on its backend. It returns
@@ -1060,6 +1089,7 @@ func (g *Gateway) Result(ctx context.Context, id string) (*hyperpraw.JobResult, 
 			g.markTerminal(j, hyperpraw.JobDone)
 			j.info.Status = hyperpraw.JobDone
 			j.info.Error = ""
+			j.stale = true
 			j.wire = hyperpraw.PartitionRequest{} // no more failovers: stop pinning the upload
 			if g.results != nil && j.resultKey != "" {
 				g.results.Put(j.resultKey, *res)
@@ -1075,6 +1105,7 @@ func (g *Gateway) Result(ctx context.Context, id string) (*hyperpraw.JobResult, 
 			g.markTerminal(j, hyperpraw.JobFailed)
 			j.info.Status = hyperpraw.JobFailed
 			j.info.Error = err.Error()
+			j.stale = true
 			j.wire = hyperpraw.PartitionRequest{}
 			return nil, j.info, nil
 		case !jobLost(err):

@@ -675,3 +675,35 @@ func TestGatewayRawHMetisUpload(t *testing.T) {
 		t.Fatalf("result parts=%d k=%d", len(res.Parts), res.K)
 	}
 }
+
+// TestGatewayJobInfoAfterWait: once Wait has settled a job through the
+// gateway, the gateway's job record carries the backend's timings instead
+// of the zeros of a bare terminal transition.
+func TestGatewayJobInfoAfterWait(t *testing.T) {
+	b := newBackend(t, nil)
+	g := newGateway(t, b.URL)
+	gwServer := httptest.NewServer(NewHandler(g))
+	t.Cleanup(gwServer.Close)
+	ctx := testCtx(t)
+	c := client.New(gwServer.URL, nil)
+
+	info, err := c.Submit(ctx, tinyWire(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(ctx, info.ID); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the merge sticks: a later read agrees
+		got, err := c.Job(ctx, info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != info.ID || got.Status != hyperpraw.JobDone || got.Backend != b.URL {
+			t.Fatalf("job %+v", got)
+		}
+		if got.ExecMS <= 0 || got.StartedAt == 0 || got.FinishedAt < got.StartedAt {
+			t.Fatalf("gateway job record has no backend timings: %+v", got)
+		}
+	}
+}

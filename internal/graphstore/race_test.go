@@ -8,8 +8,8 @@ import (
 )
 
 // TestConcurrentAcquireReleaseEvict hammers the ref-count and LRU
-// machinery from many goroutines: concurrent ingests of a handful of
-// distinct graphs under a budget tight enough to force constant
+// machinery from many goroutines: concurrent ingests and inline Puts of a
+// handful of distinct graphs under a budget tight enough to force constant
 // eviction, interleaved with acquire/use/release cycles and deletes.
 // Run under -race this is the arena lifetime safety proof.
 func TestConcurrentAcquireReleaseEvict(t *testing.T) {
@@ -46,7 +46,16 @@ func TestConcurrentAcquireReleaseEvict(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				g := (w + i) % len(ids)
-				a, release, err := s.IngestReader(strings.NewReader(hmetisDoc(g)), fmt.Sprintf("g%d", g))
+				// Odd workers intern inline (Put), racing the commits of
+				// the same graphs into promotions and inline drops.
+				var a *Arena
+				var release func()
+				var err error
+				if w%2 == 1 {
+					a, release, err = s.Put(testGraph(g))
+				} else {
+					a, release, err = s.IngestReader(strings.NewReader(hmetisDoc(g)), fmt.Sprintf("g%d", g))
+				}
 				if err != nil {
 					t.Errorf("ingest g%d: %v", g, err)
 					return

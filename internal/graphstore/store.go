@@ -40,7 +40,9 @@ type Config struct {
 	// MaxBytes bounds resident arena bytes: when exceeded, unreferenced
 	// arenas are evicted least-recently-used first (disk-backed arenas
 	// drop their mapping and reload on next use; memory-only arenas are
-	// gone for good). 0 means unlimited.
+	// gone for good). 0 means unlimited. Arenas interned only by Put
+	// never wait for eviction: they are dropped as soon as their last
+	// reference is released.
 	MaxBytes int64
 	// MaxUploadBytes bounds one upload session's spooled bytes
 	// (0 = DefaultMaxUploadBytes).
@@ -84,13 +86,17 @@ const (
 	StateCommitted = "committed"
 )
 
-// entry is one committed arena slot. arena == nil means the graph lives
-// only in its backing file and reloads on the next Acquire.
+// entry is one arena slot. arena == nil means the graph lives only in its
+// backing file and reloads on the next Acquire. An inline entry was only
+// ever interned by Put: it is heap-only, never persisted, and dropped when
+// its last reference is released. A commit (upload or IngestReader) of the
+// same graph promotes it to an ordinary committed entry.
 type entry struct {
 	meta    Info
 	arena   *Arena
 	refs    int
 	lastUse uint64 // LRU clock tick
+	inline  bool
 }
 
 // Store is the shared hypergraph arena pool for one process.
@@ -219,13 +225,17 @@ func (s *Store) Stats() Stats {
 // Put interns an already-parsed hypergraph: it builds (or dedups into)
 // the arena for h's fingerprint and returns the shared arena plus a
 // release closure for the caller's reference. This is how inline-HMetis
-// jobs join the arena pool.
+// jobs join the arena pool. An arena created by Put is scoped to its
+// references: concurrent holders share it, and releasing the last one
+// drops it without ever writing it to disk — unless a commit of the same
+// graph has promoted it in the meantime. Putting into an already
+// committed arena just takes a reference.
 func (s *Store) Put(h *hypergraph.Hypergraph) (*Arena, func(), error) {
 	a, err := buildArena(h.Name(), h.CSR())
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.intern(a)
+	return s.intern(a, true)
 }
 
 // IngestReader streams a hypergraph from r into a new arena (or dedups
@@ -255,7 +265,7 @@ func (s *Store) IngestReader(r io.Reader, name string) (*Arena, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.intern(a)
+	return s.intern(a, false)
 }
 
 // ingestArena reads an already-serialised arena stream into an aligned
@@ -277,14 +287,16 @@ func (s *Store) ingestArena(r io.Reader, name string) (*Arena, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.intern(a)
+	return s.intern(a, false)
 }
 
 // intern registers a freshly built heap arena, deduplicating by
-// fingerprint and, when the store has a directory, persisting it and
-// swapping the heap copy for the mmap. Returns the canonical arena with
-// one reference taken.
-func (s *Store) intern(fresh *Arena) (*Arena, func(), error) {
+// fingerprint, and returns the canonical arena with one reference taken.
+// An inline intern (Put) keeps a new arena on the heap only, scoped to its
+// references. A commit persists it when the store has a directory,
+// swapping the heap copy for the mmap, and promotes an inline entry of
+// the same graph to a committed one.
+func (s *Store) intern(fresh *Arena, inline bool) (*Arena, func(), error) {
 	id := fresh.ID()
 
 	s.mu.Lock()
@@ -292,8 +304,8 @@ func (s *Store) intern(fresh *Arena) (*Arena, func(), error) {
 		s.mu.Unlock()
 		return nil, nil, errors.New("graphstore: store closed")
 	}
-	if e, ok := s.entries[id]; ok {
-		// Duplicate upload of a known graph: the existing entry (and its
+	if e, ok := s.entries[id]; ok && (inline || !e.inline) {
+		// Duplicate of a known graph: the existing entry (and its
 		// backing file, if any) wins; the fresh copy is dropped. A stale
 		// entry (ErrNotFound from a raced Delete) falls through to a
 		// fresh insert instead.
@@ -302,6 +314,10 @@ func (s *Store) intern(fresh *Arena) (*Arena, func(), error) {
 			s.mu.Unlock()
 			return a, rel, err
 		}
+	}
+	if inline {
+		defer s.mu.Unlock()
+		return s.insertLocked(fresh, true)
 	}
 	s.mu.Unlock()
 
@@ -337,6 +353,9 @@ func (s *Store) intern(fresh *Arena) (*Arena, func(), error) {
 		return nil, nil, errors.New("graphstore: store closed")
 	}
 	if e, ok := s.entries[id]; ok { // lost a commit race; dedup into the winner
+		// An inline entry is promoted: it keeps its heap arena and, with
+		// a Dir, reloads from the file written above once evicted.
+		e.inline = false
 		winner, rel, err := s.acquireLocked(id, e)
 		if err == nil || !errors.Is(err, ErrNotFound) {
 			a.close()
@@ -344,6 +363,12 @@ func (s *Store) intern(fresh *Arena) (*Arena, func(), error) {
 		}
 		// The winner's entry went stale under a raced Delete; ours takes over.
 	}
+	return s.insertLocked(a, false)
+}
+
+// insertLocked adds a new entry for a and takes the caller's reference.
+func (s *Store) insertLocked(a *Arena, inline bool) (*Arena, func(), error) {
+	id := a.ID()
 	e := &entry{
 		meta: Info{
 			ID:       id,
@@ -354,7 +379,8 @@ func (s *Store) intern(fresh *Arena) (*Arena, func(), error) {
 			Pins:     a.h.NumPins(),
 			Bytes:    a.Bytes(),
 		},
-		arena: a,
+		arena:  a,
+		inline: inline,
 	}
 	s.entries[id] = e
 	s.resident += a.Bytes()
@@ -412,6 +438,11 @@ func (s *Store) acquireLocked(id string, e *entry) (*Arena, func(), error) {
 			e.refs--
 			s.clock++
 			e.lastUse = s.clock
+			if e.inline && e.refs == 0 {
+				// An inline-only arena lives exactly as long as its jobs.
+				s.dropLocked(id, e)
+				return
+			}
 			s.enforceLimitLocked()
 		})
 	}
@@ -446,6 +477,18 @@ func (s *Store) enforceLimitLocked() {
 			// No backing file: eviction is deletion.
 			delete(s.entries, victimID)
 		}
+	}
+}
+
+// dropLocked forgets entry e and its resident arena.
+func (s *Store) dropLocked(id string, e *entry) {
+	if e.arena != nil {
+		s.resident -= e.arena.Bytes()
+		e.arena.close()
+		e.arena = nil
+	}
+	if s.entries[id] == e {
+		delete(s.entries, id)
 	}
 }
 
@@ -507,11 +550,7 @@ func (s *Store) Delete(id string) error {
 	if e.refs > 0 {
 		return fmt.Errorf("%w: %s held by %d jobs", ErrReferenced, id, e.refs)
 	}
-	if e.arena != nil {
-		s.resident -= e.arena.Bytes()
-		e.arena.close()
-	}
-	delete(s.entries, id)
+	s.dropLocked(id, e)
 	if s.cfg.Dir != "" {
 		os.Remove(filepath.Join(s.cfg.Dir, id+arenaFileExt)) //nolint:errcheck
 	}

@@ -22,10 +22,22 @@ const (
 	fmtVertexWeights = 10
 )
 
+// maxLineBytes bounds one line of text input; a single hyperedge or
+// matrix row may be long, so it is far above any ordinary line.
+const maxLineBytes = 1 << 24
+
+// newLineScanner returns a line scanner that starts at bufio's default
+// 4 KiB buffer and grows on demand up to maxLineBytes, so small documents
+// (inline requests parsed per job) do not pay for a large buffer.
+func newLineScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxLineBytes)
+	return sc
+}
+
 // ReadHMetis parses a hypergraph in hMetis format from r.
 func ReadHMetis(r io.Reader) (*Hypergraph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc := newLineScanner(r)
 
 	header, err := nextDataLine(sc)
 	if err != nil {
@@ -168,8 +180,7 @@ func WriteHMetis(w io.Writer, h *Hypergraph) error {
 // used by the paper's sparse-matrix instances (2cubes_sphere, sparsine, ...),
 // where |E| = |V| because the matrices are square.
 func ReadMatrixMarket(r io.Reader) (*Hypergraph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc := newLineScanner(r)
 
 	symmetric := false
 	sawBanner := false

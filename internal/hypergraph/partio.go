@@ -24,8 +24,7 @@ func WritePartition(w io.Writer, parts []int32) error {
 // ReadPartition parses a one-assignment-per-line partition vector. Blank
 // lines and '%' comments are skipped.
 func ReadPartition(r io.Reader) ([]int32, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc := newLineScanner(r)
 	var parts []int32
 	line := 0
 	for sc.Scan() {
@@ -79,8 +78,7 @@ func LoadPartition(path string) ([]int32, error) {
 // PaToH is the partitioner the paper cites alongside hMetis; supporting its
 // format lets the catalog interoperate with PaToH-prepared datasets.
 func ReadPaToH(r io.Reader) (*Hypergraph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc := newLineScanner(r)
 	header, err := nextDataLine(sc)
 	if err != nil {
 		return nil, fmt.Errorf("patoh: missing header: %w", err)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -258,6 +259,45 @@ func TestOneArenaManyJobs(t *testing.T) {
 	}
 	if st := s.Graphs().Stats(); st.Known != 1 {
 		t.Fatalf("graphs known %d, want 1", st.Known)
+	}
+}
+
+// TestInlineArenasReleasedWhenJobsFinish: an inline request's graph is
+// interned only for the lifetime of its job, so distinct inline jobs leave
+// no resident arena behind once they finish.
+func TestInlineArenasReleasedWhenJobsFinish(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	ts, s := newTestServer(t, Config{Workers: 2, Metrics: reg})
+	c := client.New(ts.URL, ts.Client())
+	ctx := context.Background()
+
+	const jobs = 6
+	var wg sync.WaitGroup
+	errs := make([]error, jobs)
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = c.Partition(ctx, hyperpraw.PartitionRequest{
+				Algorithm: "aware",
+				Machine:   hyperpraw.MachineSpec{Kind: "archer", Cores: 4},
+				HMetis:    fmt.Sprintf("3 8\n1 2 %d\n3 4 5\n5 6 7 8\n", 3+i),
+			})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	for _, name := range []string{"hyperpraw_graph_bytes", "hyperpraw_graph_arenas", "hyperpraw_graph_refs"} {
+		if got := scrapeMetric(t, ts.Client(), ts.URL, name); got != 0 {
+			t.Fatalf("%s %v after %d inline jobs finished, want 0", name, got, jobs)
+		}
+	}
+	if st := s.Graphs().Stats(); st.Known != 0 {
+		t.Fatalf("graphs known %d, want 0", st.Known)
 	}
 }
 
