@@ -8,25 +8,45 @@ import (
 	"hyperpraw/internal/profile"
 )
 
-func benchInstance() (*Partitioner, error) {
-	spec, _ := hgen.SpecByName("2cubes_sphere")
-	h := hgen.Generate(spec.Scaled(0.005), 1)
-	cfg := DefaultConfig(profile.UniformCost(32))
-	cfg.MaxIterations = 10
-	return New(h, cfg)
-}
-
-// BenchmarkRun measures a bounded full restreaming run (10 streams max).
-func BenchmarkRun(b *testing.B) {
-	pr, err := benchInstance()
+// benchRun measures full restreaming runs of one Partitioner with the
+// default configuration, capped at maxIter streams.
+func benchRun(b *testing.B, name string, scale float64, cost [][]float64, maxIter int) {
+	spec, _ := hgen.SpecByName(name)
+	h := hgen.Generate(spec.Scaled(scale), 1)
+	cfg := DefaultConfig(cost)
+	cfg.MaxIterations = maxIter
+	pr, err := New(h, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer pr.Release()
+	// One untimed run grows the lazily sized buffers (pair counts, best
+	// partition), so B/op reports the steady state even at a short
+	// -benchtime.
+	pr.Run()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pr.Run()
 	}
+}
+
+// BenchmarkRun measures whole runs, stream passes and convergence checks
+// together. The 2cubes_sphere case is a bounded run (10 streams max). The
+// sat14_E02F22 cases run to convergence on a dense SAT-primal instance at
+// p=32 with the uniform (HyperPRAW-basic) and profiled Archer
+// (HyperPRAW-aware) matrices: dense neighbourhoods make a full PC(P) scan
+// cost a large share of a pass, so these cases show what the per-pass
+// convergence check costs.
+func BenchmarkRun(b *testing.B) {
+	b.Run("2cubes_sphere/uniform/p=32", func(b *testing.B) {
+		benchRun(b, "2cubes_sphere", 0.005, profile.UniformCost(32), 10)
+	})
+	b.Run("sat14_E02F22/uniform/p=32", func(b *testing.B) {
+		benchRun(b, "sat14_E02F22", 0.02, profile.UniformCost(32), 100)
+	})
+	b.Run("sat14_E02F22/profiled/p=32", func(b *testing.B) {
+		benchRun(b, "sat14_E02F22", 0.02, physCost(32, 1), 100)
+	})
 }
 
 // benchStream measures one full streaming pass in the restreaming regime

@@ -50,8 +50,8 @@ const (
 	// phaseCollect: copy the worker's vertex range of the shared assignment
 	// into the pass snapshot and census vertices per cost-tier block.
 	phaseCollect
-	// phaseScan: evaluate the worker's share of the comm-cost reduction
-	// over the pass snapshot.
+	// phaseScan: count the neighbour pairs of the worker's vertex range
+	// of the pass snapshot, the worker's share of PC(P).
 	phaseScan
 )
 
@@ -83,7 +83,8 @@ type passCmd struct {
 // every loadSyncEvery visits; per-candidate load reads are plain reads of
 // the worker's epoch-refreshed view. The per-pass snapshot, load, and
 // comm-cost convergence scans run as parallel reductions across the
-// workers, merged at the barrier in worker order.
+// workers, merged at the barrier; the comm-cost partials are integer pair
+// counts, so the merged PC(P) does not depend on the worker count.
 //
 // Config.InitialParts seeds the assignment exactly as in Run. ShuffledOrder
 // is ignored (workers stream their owned vertices in natural order).
@@ -224,8 +225,6 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 	}
 
 	vchunk := (nv + workers - 1) / workers
-	ne := h.NumEdges()
-	echunk := (ne + workers - 1) / workers
 	r.pool = make([]*parallelWorker, workers)
 	for id := 0; id < workers; id++ {
 		w := &parallelWorker{
@@ -235,7 +234,6 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 		}
 		r.pool[id] = w
 		w.lo, w.hi = clampRange(id*vchunk, vchunk, nv)
-		w.elo, w.ehi = clampRange(id*echunk, echunk, ne)
 		// The worker's load view reuses the scratch's serial load buffer
 		// (parallel workers share assignment state, so it is otherwise
 		// idle). The delta buffer must be re-zeroed: a pooled scratch may
@@ -390,13 +388,21 @@ func (r *parallelRun) superstep(pass int, alpha float64, frontier bool) (moves i
 		r.rebalanceBlocks()
 	}
 
-	// Comm-cost scan as a parallel reduction; partials summed in worker
-	// order, so a single worker reproduces the serial accumulation bitwise.
 	r.dispatch(passCmd{phase: phaseScan})
-	for _, w := range r.pool {
-		cost += w.partCost
+	return moves, imb, r.scanCost()
+}
+
+// scanCost merges the workers' pair-count partials from the last scan
+// phase into worker 0's matrix and returns PC(P) of the snapshot. The
+// partials are integers, so the merge is exact for any worker count and
+// the cost is bit-identical to the serial kernel's for the same partition.
+// Workers are quiescent between dispatches, so the merge is race-free.
+func (r *parallelRun) scanCost() float64 {
+	m := &r.pool[0].sc.pairs
+	for _, w := range r.pool[1:] {
+		m.Add(&w.sc.pairs)
 	}
-	return moves, imb, cost
+	return m.Cost(r.s.cfg.CostMatrix)
 }
 
 // run executes the driver loop — structurally identical to the serial Run,
@@ -484,9 +490,7 @@ func (r *parallelRun) run() Result {
 	// partition (which may be the best-seen one, not the last snapshot).
 	copy(s.snapshot, res.Parts)
 	r.dispatch(passCmd{phase: phaseScan})
-	for _, w := range r.pool {
-		res.FinalCommCost += w.partCost
-	}
+	res.FinalCommCost = r.scanCost()
 	res.FinalImbalance = metrics.Imbalance(metrics.Loads(s.h, res.Parts, s.p))
 	if cfg.Stats != nil {
 		// Workers are quiescent between dispatches, so merging their
@@ -563,14 +567,14 @@ type parallelWorker struct {
 	// filled during phaseCollect (blockAligned runs only).
 	blockVerts []int64
 
-	// lo/hi and elo/ehi are the worker's vertex and edge ranges for the
-	// barrier reductions (collect and scan); stream ownership is by block
-	// or stride, not range.
-	lo, hi, elo, ehi int
+	// lo/hi is the worker's vertex range for the barrier reductions
+	// (collect and scan); stream ownership is by block or stride, not
+	// range.
+	lo, hi int
 
-	// Per-pass outputs read by the driver at the barrier.
+	// Per-pass output read by the driver at the barrier; the scan phase's
+	// output is the worker scratch's pair counts.
 	passMoves int64
-	partCost  float64
 
 	loadOf    func(int32) int64
 	untouched func(int32) bool
@@ -613,16 +617,14 @@ func (w *parallelWorker) collect() {
 	}
 }
 
-// scan evaluates the worker's share of the monitored comm cost over the
-// pass snapshot: a vertex range of PC(P), or an edge range of the
-// hyperedge-weighted variant.
+// scan counts the neighbour pairs of the worker's vertex range of the pass
+// snapshot into its scratch's pair counts (hyperedge-weighted when
+// UseEdgeWeights). Concurrent moves make per-move count updates inexact
+// here, so unlike the serial kernel the parallel one rescans every pass.
 func (w *parallelWorker) scan() {
 	s := w.s
-	if s.cfg.UseEdgeWeights {
-		w.partCost = metrics.WeightedCommCostRange(s.h, s.snapshot, s.cfg.CostMatrix, w.elo, w.ehi)
-	} else {
-		w.partCost = w.sc.comm.CommCostRange(s.h, s.snapshot, s.cfg.CostMatrix, w.lo, w.hi)
-	}
+	w.sc.pairs.Reset(s.p)
+	w.sc.comm.Count(&w.sc.pairs, s.h, s.snapshot, s.cfg.UseEdgeWeights, w.lo, w.hi)
 }
 
 // flushDeltas applies the worker's batched load changes to the shared

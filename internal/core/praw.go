@@ -506,7 +506,7 @@ func (pr *Partitioner) Run() Result {
 		imb := pr.imbalance(expected)
 		inTol := imb <= pr.cfg.ImbalanceTolerance
 		lastInTol = inTol
-		cost := pr.monitoredCost()
+		cost := pr.sc.pairs.Cost(pr.cfg.CostMatrix)
 
 		st := IterationStats{
 			Iteration:   n,
@@ -551,12 +551,16 @@ func (pr *Partitioner) Run() Result {
 		}
 		alpha *= pr.cfg.RefinementFactor
 	}
+	// The pair counts track the last stream's partition, so a restored
+	// best partition reports the cost recorded when it was seen.
 	if haveBest {
 		copy(pr.parts, bestParts)
+		res.FinalCommCost = bestCost
+	} else {
+		res.FinalCommCost = pr.sc.pairs.Cost(pr.cfg.CostMatrix)
 	}
 
 	res.Parts = append([]int32(nil), pr.parts...)
-	res.FinalCommCost = pr.monitoredCost()
 	res.FinalImbalance = metrics.Imbalance(metrics.Loads(pr.h, res.Parts, pr.p))
 	if pr.cfg.Stats != nil {
 		pr.cfg.Stats.Add(pr.tally)
@@ -566,9 +570,10 @@ func (pr *Partitioner) Run() Result {
 }
 
 // resetAssignment restores the initial assignment (round-robin, or the
-// caller's when repartitioning) and the loads derived from it. Run starts
-// with it; the kernel benchmarks call it to restart between measured
-// streams.
+// caller's when repartitioning), the loads derived from it, and the pair
+// counts of PC(P) — the run's one comm scan; stream keeps them current
+// from then on. Run starts with it; the kernel benchmarks call it to
+// restart between measured streams.
 func (pr *Partitioner) resetAssignment() {
 	h, p := pr.h, pr.p
 	nv := h.NumVertices()
@@ -588,6 +593,8 @@ func (pr *Partitioner) resetAssignment() {
 		pr.loads[pr.parts[v]] += w
 		pr.totalW += w
 	}
+	pr.sc.pairs.Reset(p)
+	pr.sc.comm.Count(&pr.sc.pairs, h, pr.parts, pr.cfg.UseEdgeWeights, 0, nv)
 }
 
 // expectedLoads returns E(i) per partition: totalW/p for homogeneous
@@ -631,15 +638,6 @@ func (pr *Partitioner) imbalance(expected []float64) float64 {
 		}
 	}
 	return worst
-}
-
-// monitoredCost is the refinement-phase quality metric: PC(P) with the
-// algorithm's own cost matrix, hyperedge-weighted when UseEdgeWeights.
-func (pr *Partitioner) monitoredCost() float64 {
-	if pr.cfg.UseEdgeWeights {
-		return metrics.WeightedCommCost(pr.h, pr.parts, pr.cfg.CostMatrix)
-	}
-	return pr.sc.comm.CommCost(pr.h, pr.parts, pr.cfg.CostMatrix)
 }
 
 // splitMix is a tiny local PRNG for the optional shuffled stream order
@@ -763,6 +761,7 @@ func (pr *Partitioner) stream(alpha float64, expected []float64, order []int32, 
 			pr.loads[old] -= w
 			pr.loads[bestPart] += w
 			pr.parts[v] = bestPart
+			pr.movePairs(old, bestPart)
 			if fast && !scanOff {
 				if kind == costBlocked {
 					sc.blockNoteMove(pr.cidx, old, bestPart,
@@ -1210,6 +1209,27 @@ func (pr *Partitioner) minAvailableInBlock(b int32, expected []float64) (idx int
 		return 0, 0, false
 	}
 	return bi, bq, true
+}
+
+// movePairs keeps the pair counts of PC(P) current across one vertex's
+// move from a to b, from the X_j(v) just gathered for it: v's own pairs
+// leave row a for row b, and its neighbours' pairs with v leave column a
+// for column b. Both hold for either neighbour-count mode, because the
+// neighbour relation (and the weight two vertices share) is symmetric.
+func (pr *Partitioner) movePairs(a, b int32) {
+	sc := pr.sc
+	p := pr.p
+	m := sc.pairs.N
+	rowA := m[int(a)*p : int(a+1)*p]
+	rowB := m[int(b)*p : int(b+1)*p]
+	for _, j := range sc.touched {
+		x := int64(sc.xCounts[j])
+		rowA[j] -= x
+		rowB[j] += x
+		col := int(j) * p
+		m[col+int(a)] -= x
+		m[col+int(b)] += x
+	}
 }
 
 // markDirty stamps v and every neighbour of v as frontier members for pass

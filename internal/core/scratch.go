@@ -10,7 +10,7 @@ import (
 // scratch bundles every reusable buffer one streaming kernel needs: the
 // epoch-stamped neighbour gather, the min-load index of the touched-only
 // scan, the frontier stamps of frontier restreaming, the assignment/load
-// vectors, and the comm-cost scanner of the convergence check.
+// vectors, and the pair counts of the convergence check.
 //
 // Scratches are recycled through a package-level sync.Pool so a long-lived
 // server partitioning job after job stops allocating in the kernel: New (and
@@ -67,11 +67,16 @@ type scratch struct {
 	delta      []int64
 	blockVerts []int64
 
-	// Convergence-check scanner (PC(P) once per iteration).
-	comm *metrics.CommScanner
+	// Convergence-check state. pairs is the p×p pair-count matrix M of
+	// PC(P): the serial kernel builds it with one comm scan per run and
+	// then keeps it current move by move; a parallel worker refills it
+	// with its vertex range of the barrier scan every pass. Reset sizes it
+	// for the run's p, so a pooled scratch never carries a stale size.
+	comm  metrics.CommScanner
+	pairs metrics.PairCounts
 }
 
-var scratchPool = sync.Pool{New: func() any { return &scratch{comm: metrics.NewCommScanner()} }}
+var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
 // acquireScratch takes a scratch from the pool and sizes the buffers every
 // kernel needs: the gather state and the p-sized load vectors. The other

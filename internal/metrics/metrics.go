@@ -3,6 +3,13 @@
 // external degrees) and the paper's architecture-sensitive "partitioning
 // communication cost" (eq 5), which weighs each cross-partition neighbour
 // relation by the physical cost of the link between the two partitions.
+//
+// PC(P) has one implementation: a p×p integer pair-count matrix M
+// (PairCounts, built by CommScanner range scans or kept current by a
+// kernel) dotted with the cost matrix in a fixed row-major order
+// (PairCounts.Cost). Evaluate, the serial kernel's per-pass convergence
+// check and the parallel kernel's barrier reduction all go through it, so
+// the same partition always gets the same cost, bit for bit.
 package metrics
 
 import (
@@ -59,8 +66,8 @@ func Imbalance(loads []int64) float64 {
 }
 
 // Connectivity returns λ(e): the number of distinct partitions among the
-// pins of hyperedge e. scratch must be a slice of length >= k reused across
-// calls with epoch-style stamping; pass nil to allocate internally.
+// pins of hyperedge e. It allocates a k-sized seen set per call; the
+// whole-hypergraph metrics below share one stamped scanner instead.
 func Connectivity(h *hypergraph.Hypergraph, parts []int32, k, e int) int {
 	seen := make([]bool, k)
 	lambda := 0
@@ -74,54 +81,48 @@ func Connectivity(h *hypergraph.Hypergraph, parts []int32, k, e int) int {
 	return lambda
 }
 
-// edgeScanner computes per-edge connectivity with O(1) amortised clearing.
-type edgeScanner struct {
-	stamp []int
-	epoch int
+// cutMetrics holds the three λ-based metrics, computed together by
+// scanCuts from one λ(e) evaluation per hyperedge.
+type cutMetrics struct {
+	cut, soed, lambdaMinusOne int64
 }
 
-func newEdgeScanner(k int) *edgeScanner {
-	return &edgeScanner{stamp: make([]int, k)}
-}
-
-func (s *edgeScanner) lambda(h *hypergraph.Hypergraph, parts []int32, e int) int {
-	s.epoch++
-	lambda := 0
-	for _, v := range h.Pins(e) {
-		p := parts[v]
-		if s.stamp[p] != s.epoch {
-			s.stamp[p] = s.epoch
-			lambda++
+// scanCuts walks every hyperedge once, stamping the partitions of its pins
+// with a per-edge epoch (O(1) amortised clearing), and folds λ(e) into all
+// three cut metrics.
+func scanCuts(h *hypergraph.Hypergraph, parts []int32, k int) cutMetrics {
+	stamp := make([]int, k)
+	var m cutMetrics
+	for e := 0; e < h.NumEdges(); e++ {
+		epoch := e + 1
+		lambda := int64(0)
+		for _, v := range h.Pins(e) {
+			if p := parts[v]; stamp[p] != epoch {
+				stamp[p] = epoch
+				lambda++
+			}
+		}
+		if lambda > 1 {
+			w := h.EdgeWeight(e)
+			m.cut += w
+			m.soed += lambda * w
+			m.lambdaMinusOne += (lambda - 1) * w
 		}
 	}
-	return lambda
+	return m
 }
 
 // HyperedgeCut returns the weighted count of hyperedges that span more than
 // one partition (the paper's "hyperedge cut", Fig 4A).
 func HyperedgeCut(h *hypergraph.Hypergraph, parts []int32, k int) int64 {
-	sc := newEdgeScanner(k)
-	var cut int64
-	for e := 0; e < h.NumEdges(); e++ {
-		if sc.lambda(h, parts, e) > 1 {
-			cut += h.EdgeWeight(e)
-		}
-	}
-	return cut
+	return scanCuts(h, parts, k).cut
 }
 
 // SOED returns the Sum Of External Degrees (Fig 4B): every hyperedge that
 // spans λ > 1 partitions is incident-but-not-internal to each of those λ
 // partitions, contributing λ·w(e).
 func SOED(h *hypergraph.Hypergraph, parts []int32, k int) int64 {
-	sc := newEdgeScanner(k)
-	var soed int64
-	for e := 0; e < h.NumEdges(); e++ {
-		if l := sc.lambda(h, parts, e); l > 1 {
-			soed += int64(l) * h.EdgeWeight(e)
-		}
-	}
-	return soed
+	return scanCuts(h, parts, k).soed
 }
 
 // ConnectivityMinusOne returns the (λ−1) metric, Σ_e w(e)·(λ(e)−1): the
@@ -129,11 +130,49 @@ func SOED(h *hypergraph.Hypergraph, parts []int32, k int) int64 {
 // partitioning literature. Reported alongside the paper's metrics for
 // completeness.
 func ConnectivityMinusOne(h *hypergraph.Hypergraph, parts []int32, k int) int64 {
-	sc := newEdgeScanner(k)
-	var total int64
-	for e := 0; e < h.NumEdges(); e++ {
-		if l := sc.lambda(h, parts, e); l > 1 {
-			total += int64(l-1) * h.EdgeWeight(e)
+	return scanCuts(h, parts, k).lambdaMinusOne
+}
+
+// PairCounts is the pair-count matrix M behind PC(P): M[a][b] is the number
+// of ordered (v, u) neighbour pairs with part(v) = a and part(u) = b. In
+// weighted mode a pair instead contributes Σ w(e) over the hyperedges v and
+// u share. The counts are integers, so partial matrices over disjoint
+// vertex ranges merge exactly, and a kernel can keep M current move by move
+// instead of rescanning the hypergraph. Stored row-major in N (length P²);
+// the weighted sums must stay below 2^63.
+type PairCounts struct {
+	P int
+	N []int64
+}
+
+// Reset sizes m for p partitions and zeroes every count, reusing the
+// backing array when it is large enough.
+func (m *PairCounts) Reset(p int) {
+	if cap(m.N) < p*p {
+		m.N = make([]int64, p*p)
+	} else {
+		m.N = m.N[:p*p]
+		clear(m.N)
+	}
+	m.P = p
+}
+
+// Add adds o's counts into m; both must be sized for the same p.
+func (m *PairCounts) Add(o *PairCounts) {
+	for i, n := range o.N {
+		m.N[i] += n
+	}
+}
+
+// Cost returns PC(P) = Σ_a Σ_b M[a][b]·C[a][b], summed in row-major order.
+// This is the one definition of PC(P) every caller shares: equal counts
+// give bit-identical costs, however they were accumulated.
+func (m *PairCounts) Cost(cost [][]float64) float64 {
+	total := 0.0
+	for a, row := range cost {
+		counts := m.N[a*m.P : (a+1)*m.P]
+		for b, c := range row {
+			total += float64(counts[b]) * c
 		}
 	}
 	return total
@@ -147,89 +186,11 @@ func ConnectivityMinusOne(h *hypergraph.Hypergraph, parts []int32, k int) int64 
 // hyperedge) residing in partition j and C is the (physical or uniform) cost
 // matrix with zero diagonal. Intuitively it is the number of cross-partition
 // neighbour relations, each weighted by how expensive the link between the
-// two partitions is.
-//
-// CommCost allocates its scan buffers per call; callers that evaluate PC(P)
-// repeatedly (the restreaming convergence check does so every iteration)
-// should hold a CommScanner instead.
+// two partitions is. Grouping the terms by partition pair gives
+// PC(P) = Σ_a Σ_b M[a][b]·C(a,b) with M the PairCounts of parts, which is
+// how it is evaluated.
 func CommCost(h *hypergraph.Hypergraph, parts []int32, cost [][]float64) float64 {
-	return NewCommScanner().CommCost(h, parts, cost)
-}
-
-// CommScanner computes CommCost with reusable scan buffers, so repeated
-// evaluations (one per restreaming iteration) stop allocating. The buffers
-// grow to the largest (vertices, partitions) pair seen and are retained; a
-// CommScanner is not safe for concurrent use.
-type CommScanner struct {
-	vstamp  []int
-	pstamp  []int
-	counts  []float64
-	touched []int32
-	epoch   int
-}
-
-// NewCommScanner returns an empty scanner; buffers are sized lazily on the
-// first CommCost call.
-func NewCommScanner() *CommScanner { return &CommScanner{} }
-
-// CommCost is the allocation-free equivalent of the package-level CommCost.
-func (s *CommScanner) CommCost(h *hypergraph.Hypergraph, parts []int32, cost [][]float64) float64 {
-	return s.CommCostRange(h, parts, cost, 0, h.NumVertices())
-}
-
-// CommCostRange returns the [lo, hi) vertex range's contribution to PC(P):
-// Σ_{v ∈ [lo,hi)} T_{part(v)}(v). PC(P) is a sum of per-vertex terms, so
-// partials over a disjoint cover of the vertex set sum to CommCost exactly
-// up to floating-point reassociation across range boundaries — and the full
-// range reproduces CommCost bit for bit. The parallel kernel's convergence
-// scan evaluates one range per worker (each with its own scanner) and merges
-// the partials at the superstep barrier.
-func (s *CommScanner) CommCostRange(h *hypergraph.Hypergraph, parts []int32, cost [][]float64, lo, hi int) float64 {
-	k := len(cost)
-	nv := h.NumVertices()
-	// The epoch counter persists across calls, so freshly grown (zeroed) or
-	// shrunk (stale-stamped) buffers never alias a live stamp.
-	if cap(s.vstamp) < nv {
-		s.vstamp = make([]int, nv)
-	}
-	vstamp := s.vstamp[:nv]
-	if cap(s.pstamp) < k {
-		s.pstamp = make([]int, k)
-		s.counts = make([]float64, k)
-	}
-	pstamp := s.pstamp[:k]
-	counts := s.counts[:k]
-	touched := s.touched[:0]
-	epoch := s.epoch
-
-	total := 0.0
-	for v := lo; v < hi; v++ {
-		epoch++
-		vstamp[v] = epoch // never count v as its own neighbour
-		touched = touched[:0]
-		home := parts[v]
-		for _, e := range h.IncidentEdges(v) {
-			for _, u := range h.Pins(int(e)) {
-				if vstamp[u] == epoch {
-					continue
-				}
-				vstamp[u] = epoch
-				p := parts[u]
-				if pstamp[p] != epoch {
-					pstamp[p] = epoch
-					counts[p] = 0
-					touched = append(touched, p)
-				}
-				counts[p]++
-			}
-		}
-		for _, p := range touched {
-			total += counts[p] * cost[home][p]
-		}
-	}
-	s.touched = touched[:0]
-	s.epoch = epoch
-	return total
+	return scanCost(h, parts, cost, false)
 }
 
 // WeightedCommCost is the hyperedge-weighted variant of CommCost used with
@@ -239,29 +200,71 @@ func (s *CommScanner) CommCostRange(h *hypergraph.Hypergraph, parts []int32, cos
 // still differs from CommCost by counting a neighbour once per shared edge,
 // which models per-edge communication volume.
 func WeightedCommCost(h *hypergraph.Hypergraph, parts []int32, cost [][]float64) float64 {
-	return WeightedCommCostRange(h, parts, cost, 0, h.NumEdges())
+	return scanCost(h, parts, cost, true)
 }
 
-// WeightedCommCostRange returns the [lo, hi) hyperedge range's contribution
-// to the weighted comm cost. The metric is a sum of per-edge terms, so
-// partials over a disjoint cover of the edge set sum to WeightedCommCost
-// (exactly so for the full range); the parallel kernel evaluates one edge
-// range per worker and merges at the barrier. It allocates nothing.
-func WeightedCommCostRange(h *hypergraph.Hypergraph, parts []int32, cost [][]float64, lo, hi int) float64 {
-	total := 0.0
-	for e := lo; e < hi; e++ {
-		w := float64(h.EdgeWeight(e))
-		pins := h.Pins(e)
-		for _, u := range pins {
-			cu := cost[parts[u]]
-			for _, x := range pins {
-				if x != u {
-					total += w * cu[parts[x]]
+func scanCost(h *hypergraph.Hypergraph, parts []int32, cost [][]float64, weighted bool) float64 {
+	var m PairCounts
+	m.Reset(len(cost))
+	NewCommScanner().Count(&m, h, parts, weighted, 0, h.NumVertices())
+	return m.Cost(cost)
+}
+
+// CommScanner builds PairCounts from vertex-range scans with a reusable
+// distinct-neighbour stamp buffer, so repeated scans (one per run in the
+// serial kernel, one per pass in the parallel kernel's convergence check)
+// stop allocating. The buffer grows to the
+// largest vertex count seen and is retained; a CommScanner is not safe for
+// concurrent use.
+type CommScanner struct {
+	vstamp []int
+	epoch  int
+}
+
+// NewCommScanner returns an empty scanner; its buffer is sized lazily on
+// the first Count call.
+func NewCommScanner() *CommScanner { return &CommScanner{} }
+
+// Count adds the ordered neighbour pairs of every vertex v in [lo, hi) to
+// m: one per distinct neighbour u of v, or w(e) per hyperedge e that v
+// shares with u when weighted. m must be sized for the partition count of
+// parts. Counts over a disjoint cover of the vertex set sum to the full
+// matrix exactly, which is how the parallel kernel splits the scan across
+// its workers.
+func (s *CommScanner) Count(m *PairCounts, h *hypergraph.Hypergraph, parts []int32, weighted bool, lo, hi int) {
+	nv := h.NumVertices()
+	// The epoch counter persists across calls, so freshly grown (zeroed) or
+	// shrunk (stale-stamped) buffers never alias a live stamp.
+	if cap(s.vstamp) < nv {
+		s.vstamp = make([]int, nv)
+	}
+	vstamp := s.vstamp[:nv]
+	epoch := s.epoch
+	p := m.P
+	for v := lo; v < hi; v++ {
+		epoch++
+		vstamp[v] = epoch // never count v as its own neighbour
+		home := int(parts[v])
+		row := m.N[home*p : (home+1)*p]
+		for _, e := range h.IncidentEdges(v) {
+			if weighted {
+				w := h.EdgeWeight(int(e))
+				for _, u := range h.Pins(int(e)) {
+					if int(u) != v {
+						row[parts[u]] += w
+					}
+				}
+				continue
+			}
+			for _, u := range h.Pins(int(e)) {
+				if vstamp[u] != epoch {
+					vstamp[u] = epoch
+					row[parts[u]]++
 				}
 			}
 		}
 	}
-	return total
+	s.epoch = epoch
 }
 
 // QualityReport bundles every quality metric for one partition, as reported
@@ -278,15 +281,16 @@ type QualityReport struct {
 }
 
 // Evaluate computes a full QualityReport for parts with the given physical
-// cost matrix.
+// cost matrix. The three λ-based metrics share one scan of the hyperedges.
 func Evaluate(h *hypergraph.Hypergraph, parts []int32, cost [][]float64) QualityReport {
 	k := len(cost)
+	cuts := scanCuts(h, parts, k)
 	return QualityReport{
 		Hypergraph:     h.Name(),
 		K:              k,
-		HyperedgeCut:   HyperedgeCut(h, parts, k),
-		SOED:           SOED(h, parts, k),
-		LambdaMinusOne: ConnectivityMinusOne(h, parts, k),
+		HyperedgeCut:   cuts.cut,
+		SOED:           cuts.soed,
+		LambdaMinusOne: cuts.lambdaMinusOne,
 		CommCost:       CommCost(h, parts, cost),
 		Imbalance:      Imbalance(Loads(h, parts, k)),
 	}

@@ -314,13 +314,10 @@ func TestQuickImbalanceAtLeastOne(t *testing.T) {
 	}
 }
 
-// TestCommCostRangePartialsSum checks the parallel-reduction contract of
-// CommCostRange: partials over a disjoint cover of the vertex set sum to the
-// full scan (within float reassociation slack), the full range reproduces
-// CommCost bit for bit, and independent scanners agree with a shared one.
-func TestCommCostRangePartialsSum(t *testing.T) {
-	rng := stats.NewRNG(17)
-	nv, ne, k := 200, 300, 8
+// randomInstance builds a random hypergraph (edge weights in [1, 4] when
+// weighted), a random k-way partition of it, and a non-uniform cost matrix.
+func randomInstance(seed uint64, nv, ne, k int, weighted bool) (*hypergraph.Hypergraph, []int32, [][]float64) {
+	rng := stats.NewRNG(seed)
 	b := hypergraph.NewBuilder(nv)
 	for e := 0; e < ne; e++ {
 		card := rng.Intn(5) + 2
@@ -328,79 +325,184 @@ func TestCommCostRangePartialsSum(t *testing.T) {
 		for i := range pins {
 			pins[i] = rng.Intn(nv)
 		}
-		b.AddEdge(pins...)
+		w := int64(1)
+		if weighted {
+			w = int64(1 + rng.Intn(4))
+		}
+		b.AddWeightedEdge(w, pins...)
 	}
 	h := b.Build()
 	parts := make([]int32, nv)
 	for v := range parts {
 		parts[v] = int32(rng.Intn(k))
 	}
-	cost := profile.UniformCost(k)
-	cost[1][2], cost[2][1] = 3, 3 // break uniformity
-
-	full := CommCost(h, parts, cost)
-	if got := NewCommScanner().CommCostRange(h, parts, cost, 0, nv); got != full {
-		t.Fatalf("full range %g != CommCost %g (must be bitwise identical)", got, full)
+	cost := make([][]float64, k)
+	for i := range cost {
+		cost[i] = make([]float64, k)
+		for j := range cost[i] {
+			if i != j {
+				cost[i][j] = 1 + rng.Float64()
+			}
+		}
 	}
-	for _, pieces := range []int{2, 3, 7} {
-		sum := 0.0
+	return h, parts, cost
+}
+
+// brutePairs enumerates the pair-count matrix from its definition: every
+// ordered pair of distinct neighbours once, or, weighted, every ordered
+// pair of distinct pins of every hyperedge with that hyperedge's weight.
+func brutePairs(h *hypergraph.Hypergraph, parts []int32, k int, weighted bool) []int64 {
+	m := make([]int64, k*k)
+	seen := map[[2]int32]bool{}
+	for e := 0; e < h.NumEdges(); e++ {
+		pins := h.Pins(e)
+		for _, u := range pins {
+			for _, x := range pins {
+				if u == x {
+					continue
+				}
+				if weighted {
+					m[int(parts[u])*k+int(parts[x])] += h.EdgeWeight(e)
+				} else if !seen[[2]int32{u, x}] {
+					seen[[2]int32{u, x}] = true
+					m[int(parts[u])*k+int(parts[x])]++
+				}
+			}
+		}
+	}
+	return m
+}
+
+func equalCounts(a, b []int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkRangePartials checks the parallel-reduction contract of
+// CommScanner.Count in one neighbour-count mode: the full scan matches the
+// brute-force pair enumeration, partial matrices over any disjoint cover of
+// the vertex set merge to it exactly, so their cost is bitwise CommCost
+// (WeightedCommCost) for every split, and an empty range adds nothing.
+func checkRangePartials(t *testing.T, weighted bool) {
+	t.Helper()
+	h, parts, cost := randomInstance(17, 200, 300, 8, weighted)
+	nv, k := h.NumVertices(), len(cost)
+	full := CommCost(h, parts, cost)
+	if weighted {
+		full = WeightedCommCost(h, parts, cost)
+	}
+	want := brutePairs(h, parts, k, weighted)
+	shared := NewCommScanner()
+	for _, pieces := range []int{1, 2, 3, 7} {
+		var sum PairCounts
+		sum.Reset(k)
 		chunk := (nv + pieces - 1) / pieces
 		for w := 0; w < pieces; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > nv {
-				hi = nv
+			lo, hi := w*chunk, min((w+1)*chunk, nv)
+			var part PairCounts
+			part.Reset(k)
+			sc := NewCommScanner()
+			if w%2 == 1 {
+				sc = shared // independent and reused scanners must agree
 			}
-			sum += NewCommScanner().CommCostRange(h, parts, cost, lo, hi)
+			sc.Count(&part, h, parts, weighted, lo, hi)
+			sum.Add(&part)
 		}
-		if math.Abs(sum-full) > 1e-9*(math.Abs(full)+1) {
-			t.Fatalf("%d-piece partials sum %g, full %g", pieces, sum, full)
+		if !equalCounts(sum.N, want) {
+			t.Fatalf("%d-piece counts %v, want %v", pieces, sum.N, want)
+		}
+		if got := sum.Cost(cost); got != full {
+			t.Fatalf("%d-piece cost %g, full %g (must be bitwise identical)", pieces, got, full)
 		}
 	}
-	// Empty and degenerate ranges contribute nothing.
-	sc := NewCommScanner()
-	if got := sc.CommCostRange(h, parts, cost, 50, 50); got != 0 {
+	var empty PairCounts
+	empty.Reset(k)
+	shared.Count(&empty, h, parts, weighted, 50, 50)
+	if got := empty.Cost(cost); got != 0 {
 		t.Fatalf("empty range cost %g", got)
 	}
 }
 
-// TestWeightedCommCostRangePartialsSum is the edge-range analogue for the
-// hyperedge-weighted metric.
-func TestWeightedCommCostRangePartialsSum(t *testing.T) {
-	rng := stats.NewRNG(18)
-	nv, ne, k := 150, 220, 6
-	b := hypergraph.NewBuilder(nv)
-	for e := 0; e < ne; e++ {
-		card := rng.Intn(4) + 2
-		pins := make([]int, card)
-		for i := range pins {
-			pins[i] = rng.Intn(nv)
-		}
-		b.AddWeightedEdge(int64(1+rng.Intn(4)), pins...)
-	}
-	h := b.Build()
-	parts := make([]int32, nv)
-	for v := range parts {
-		parts[v] = int32(rng.Intn(k))
-	}
-	cost := profile.UniformCost(k)
+// TestCommCostRangePartialsSum checks the range-partial contract of the
+// distinct-neighbour pair counts behind CommCost.
+func TestCommCostRangePartialsSum(t *testing.T) { checkRangePartials(t, false) }
 
-	full := WeightedCommCost(h, parts, cost)
-	if got := WeightedCommCostRange(h, parts, cost, 0, h.NumEdges()); got != full {
-		t.Fatalf("full range %g != WeightedCommCost %g", got, full)
+// TestWeightedCommCostRangePartialsSum checks it for the hyperedge-weighted
+// pair counts behind WeightedCommCost.
+func TestWeightedCommCostRangePartialsSum(t *testing.T) { checkRangePartials(t, true) }
+
+// TestWeightedCommCostUnitWeightsCountsSharedEdges pins the weighted
+// definition on a tiny case: two vertices sharing two unit-weight edges
+// count each other twice, where CommCost counts them once.
+func TestWeightedCommCostUnitWeightsCountsSharedEdges(t *testing.T) {
+	b := hypergraph.NewBuilder(3)
+	b.AddEdge(0, 1)
+	b.AddEdge(0, 1, 2)
+	h := b.Build()
+	cost := profile.UniformCost(2)
+	parts := []int32{0, 1, 1}
+	// Cross pairs: (0,1) twice from each side, (0,2) once from each side.
+	if pc := WeightedCommCost(h, parts, cost); pc != 6 {
+		t.Fatalf("weighted PC %g, want 6", pc)
 	}
-	sum := 0.0
-	pieces, nE := 4, h.NumEdges()
-	chunk := (nE + pieces - 1) / pieces
-	for w := 0; w < pieces; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nE {
-			hi = nE
+	if pc := CommCost(h, parts, cost); pc != 4 {
+		t.Fatalf("PC %g, want 4", pc)
+	}
+}
+
+// TestPairCountsResetResizes reuses one matrix across partition counts, as
+// a pooled kernel scratch does: a shrink must not keep stale counts or the
+// old stride, and a grow must start from zero.
+func TestPairCountsResetResizes(t *testing.T) {
+	var m PairCounts
+	sc := NewCommScanner()
+	for _, k := range []int{32, 256, 16} {
+		h, parts, cost := randomInstance(uint64(k), 150, 200, k, false)
+		m.Reset(k)
+		sc.Count(&m, h, parts, false, 0, h.NumVertices())
+		if m.P != k || !equalCounts(m.N, brutePairs(h, parts, k, false)) {
+			t.Fatalf("k=%d: counts differ from brute force after reuse", k)
 		}
-		sum += WeightedCommCostRange(h, parts, cost, lo, hi)
+		if got, want := m.Cost(cost), CommCost(h, parts, cost); got != want {
+			t.Fatalf("k=%d: cost %g, want %g", k, got, want)
+		}
 	}
-	if math.Abs(sum-full) > 1e-9*(math.Abs(full)+1) {
-		t.Fatalf("edge-range partials sum %g, full %g", sum, full)
+}
+
+// TestEvaluateMatchesSeparateMetrics checks the fused λ scan behind
+// Evaluate: its cut, SOED and λ−1 equal the separate public functions and
+// a per-edge reference built on Connectivity, on random weighted
+// hypergraphs and partitions.
+func TestEvaluateMatchesSeparateMetrics(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		h, parts, cost := randomInstance(seed, 80, 120, int(2+seed%5), seed%2 == 0)
+		k := len(cost)
+		var cut, soed, lm1 int64
+		for e := 0; e < h.NumEdges(); e++ {
+			if l := int64(Connectivity(h, parts, k, e)); l > 1 {
+				w := h.EdgeWeight(e)
+				cut += w
+				soed += l * w
+				lm1 += (l - 1) * w
+			}
+		}
+		r := Evaluate(h, parts, cost)
+		if r.HyperedgeCut != cut || r.SOED != soed || r.LambdaMinusOne != lm1 {
+			t.Fatalf("seed %d: Evaluate cut/SOED/λ−1 = %d/%d/%d, reference %d/%d/%d",
+				seed, r.HyperedgeCut, r.SOED, r.LambdaMinusOne, cut, soed, lm1)
+		}
+		if HyperedgeCut(h, parts, k) != cut || SOED(h, parts, k) != soed || ConnectivityMinusOne(h, parts, k) != lm1 {
+			t.Fatalf("seed %d: separate metrics disagree with the reference", seed)
+		}
+		if r.CommCost != CommCost(h, parts, cost) {
+			t.Fatalf("seed %d: Evaluate PC %g, CommCost %g", seed, r.CommCost, CommCost(h, parts, cost))
+		}
 	}
 }
