@@ -280,7 +280,8 @@ func TestTieredMatchesExhaustiveParallel(t *testing.T) {
 // and the driver loop mirrors Run — so PartitionParallel must reproduce the
 // serial result move for move (same iteration counts, per-pass move counts,
 // final assignment, and final cost) across every scan strategy, frontier
-// restreaming, capacities, and a seeded initial assignment.
+// restreaming, capacities, a seeded initial assignment and hyperedge
+// weights, on both sides of the neighbour-CSR budget.
 func TestParallelSingleWorkerMatchesSerialRun(t *testing.T) {
 	h := randomHG(7, 400, 500, 8)
 	p := 16
@@ -305,25 +306,33 @@ func TestParallelSingleWorkerMatchesSerialRun(t *testing.T) {
 		{"frontier", func(c *Config) { c.FrontierRestreaming = true }, hier2Cost(p)},
 		{"initialparts", func(c *Config) { c.InitialParts = initial }, profile.UniformCost(p)},
 		{"capacities", func(c *Config) { c.Capacities = caps }, hier2Cost(p)},
+		{"weighted", func(c *Config) { c.UseEdgeWeights = true }, physCost(p, 4)},
+		{"weighted-frontier", func(c *Config) {
+			c.UseEdgeWeights = true
+			c.FrontierRestreaming = true
+		}, profile.UniformCost(p)},
 	} {
-		cfg := DefaultConfig(tc.cost)
-		cfg.MaxIterations = 25
-		cfg.RecordHistory = true
-		cfg.forceTouchedOnly = true // exercise the fast paths at small p
-		if tc.mut != nil {
-			tc.mut(&cfg)
+		for _, pinWalk := range []bool{false, true} {
+			cfg := DefaultConfig(tc.cost)
+			cfg.MaxIterations = 25
+			cfg.RecordHistory = true
+			cfg.forceTouchedOnly = true // exercise the fast paths at small p
+			cfg.forcePinWalk = pinWalk
+			if tc.mut != nil {
+				tc.mut(&cfg)
+			}
+			pr, err := New(h, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial := pr.Run()
+			pr.Release()
+			par, err := PartitionParallel(h, cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, fmt.Sprintf("%s/pinwalk=%v", tc.label, pinWalk), par, serial)
 		}
-		pr, err := New(h, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial := pr.Run()
-		pr.Release()
-		par, err := PartitionParallel(h, cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdentical(t, tc.label, par, serial)
 	}
 }
 
@@ -506,9 +515,10 @@ func TestFrontierDeterministicAcrossPool(t *testing.T) {
 }
 
 // TestEpochWraparoundReset covers gatherNeighbourCounts' wraparound path: at
-// epoch MaxInt32−1 the next gather must zero every stamp, restart the epoch
-// at 1, and still produce the exact neighbour counts — including on the
-// gather immediately after the reset.
+// epoch MaxInt32−1 the next gather must zero every partition stamp, restart
+// the epoch at 1, and still produce the exact neighbour counts — including
+// on the gather immediately after the reset. (The pin walk's own stamps
+// wrap independently; metrics tests cover them.)
 func TestEpochWraparoundReset(t *testing.T) {
 	h := randomHG(4, 120, 160, 6)
 	cfg := DefaultConfig(profile.UniformCost(6))
@@ -556,9 +566,9 @@ func TestEpochWraparoundReset(t *testing.T) {
 	if pr.sc.epoch >= math.MaxInt32-1 || pr.sc.epoch < 1 {
 		t.Fatalf("epoch %d after wraparound, want a small positive value", pr.sc.epoch)
 	}
-	for i, s := range pr.sc.vstamp {
+	for i, s := range pr.sc.pstamp {
 		if s > pr.sc.epoch {
-			t.Fatalf("vstamp[%d] = %d survived the wraparound reset (epoch %d)", i, s, pr.sc.epoch)
+			t.Fatalf("pstamp[%d] = %d survived the wraparound reset (epoch %d)", i, s, pr.sc.epoch)
 		}
 	}
 }

@@ -19,13 +19,74 @@ func freshCost(h *hypergraph.Hypergraph, parts []int32, cost [][]float64, weight
 	return metrics.CommCost(h, parts, cost)
 }
 
+// refGather is the pin-walk reference for X_j(v), written out as the
+// kernel's gather once was: walk v's incident hyperedges' pins, count each
+// distinct neighbour once (or, weighted, every incidence with w(e)), and
+// record partitions in the order they are first touched.
+func refGather(h *hypergraph.Hypergraph, parts []int32, v int, weighted bool) (touched []int32, x map[int32]float64) {
+	x = map[int32]float64{}
+	seen := map[int32]bool{int32(v): true}
+	for _, e := range h.IncidentEdges(v) {
+		w := 1.0
+		if weighted {
+			w = float64(h.EdgeWeight(int(e)))
+		}
+		for _, u := range h.Pins(int(e)) {
+			if weighted {
+				if int(u) == v {
+					continue
+				}
+			} else if seen[u] {
+				continue
+			}
+			seen[u] = true
+			part := parts[u]
+			if _, ok := x[part]; !ok {
+				touched = append(touched, part)
+			}
+			x[part] += w
+		}
+	}
+	return touched, x
+}
+
+// checkGathers compares the kernel's X_j(v) for every vertex against
+// refGather: the same partitions in the same touched order, with
+// bitwise-equal counts.
+func checkGathers(t *testing.T, label string, pr *Partitioner) {
+	t.Helper()
+	for v := 0; v < pr.h.NumVertices(); v++ {
+		pr.gatherNeighbourCounts(v)
+		touched, x := refGather(pr.h, pr.parts, v, pr.cfg.UseEdgeWeights)
+		if len(pr.sc.touched) != len(touched) {
+			t.Fatalf("%s: vertex %d: touched %v, reference %v", label, v, pr.sc.touched, touched)
+		}
+		for i, j := range touched {
+			if pr.sc.touched[i] != j || pr.sc.xCounts[j] != x[j] {
+				t.Fatalf("%s: vertex %d: touched %v (X_%d = %v), reference %v (X_%d = %v)",
+					label, v, pr.sc.touched, j, pr.sc.xCounts[j], touched, j, x[j])
+			}
+		}
+	}
+}
+
+// freshPairs is the reference pair-count matrix of parts: a pin-walk scan.
+func freshPairs(m *metrics.PairCounts, h *hypergraph.Hypergraph, parts []int32, p int, weighted bool) {
+	var n metrics.Neighbours
+	n.UsePinWalk(h, weighted)
+	m.Reset(p)
+	n.Count(m, parts, &metrics.NeighbourWalk{}, 0, h.NumVertices())
+}
+
 // runCheckingPairs runs cfg and, after every stream, compares the kernel's
 // incrementally maintained pair counts against a fresh scan of its current
-// assignment, and the stream's reported cost against a fresh metrics
-// evaluation, both exactly. stale, when non-nil, replaces the scratch's
+// assignment, the stream's reported cost against a fresh metrics
+// evaluation, and every vertex's gathered X_j(v) against the pin-walk
+// reference, all exactly. stale, when non-nil, replaces the scratch's
 // pair counts before the run, as a pooled scratch from a run at another p
-// would. It returns the run's result.
-func runCheckingPairs(t *testing.T, label string, h *hypergraph.Hypergraph, cfg Config, stale *metrics.PairCounts) Result {
+// would; staleNbrs likewise replaces its neighbour lists, as a scratch
+// last used on another graph would. It returns the run's result.
+func runCheckingPairs(t *testing.T, label string, h *hypergraph.Hypergraph, cfg Config, stale *metrics.PairCounts, staleNbrs *metrics.Neighbours) Result {
 	t.Helper()
 	p := len(cfg.CostMatrix)
 	weighted := cfg.UseEdgeWeights
@@ -34,8 +95,10 @@ func runCheckingPairs(t *testing.T, label string, h *hypergraph.Hypergraph, cfg 
 	streams := 0
 	cfg.Progress = func(st IterationStats) {
 		streams++
-		fresh.Reset(p)
-		metrics.NewCommScanner().Count(&fresh, h, pr.parts, weighted, 0, h.NumVertices())
+		if served := pr.sc.nbrs.Materialised(); served == cfg.forcePinWalk {
+			t.Fatalf("%s: neighbour lists materialised=%v with forcePinWalk=%v", label, served, cfg.forcePinWalk)
+		}
+		freshPairs(&fresh, h, pr.parts, p, weighted)
 		got := pr.sc.pairs
 		if got.P != p || len(got.N) != p*p {
 			t.Fatalf("%s: stream %d: pair counts sized %d (%d entries), want p=%d", label, st.Iteration, got.P, len(got.N), p)
@@ -48,6 +111,9 @@ func runCheckingPairs(t *testing.T, label string, h *hypergraph.Hypergraph, cfg 
 		if want := freshCost(h, pr.parts, cfg.CostMatrix, weighted); st.CommCost != want {
 			t.Fatalf("%s: stream %d: cost %v, fresh %v", label, st.Iteration, st.CommCost, want)
 		}
+		// Gathering between streams is harmless: stream regathers every
+		// vertex it visits.
+		checkGathers(t, fmt.Sprintf("%s: stream %d", label, st.Iteration), pr)
 	}
 	var err error
 	pr, err = New(h, cfg)
@@ -57,6 +123,9 @@ func runCheckingPairs(t *testing.T, label string, h *hypergraph.Hypergraph, cfg 
 	defer pr.Release()
 	if stale != nil {
 		pr.sc.pairs = *stale
+	}
+	if staleNbrs != nil {
+		pr.sc.nbrs = *staleNbrs
 	}
 	res := pr.Run()
 	if streams == 0 {
@@ -70,11 +139,12 @@ func runCheckingPairs(t *testing.T, label string, h *hypergraph.Hypergraph, cfg 
 
 // TestIncrementalPairCountsMatchScan is the property test of the serial
 // kernel's incremental PC(P): after every stream the pair counts it keeps
-// current move by move must equal a fresh scan of the assignment, across
-// both neighbour-count modes, uniform, hierarchical and profiled matrices,
-// the exhaustive and touched-only scans, and the options that change which
-// vertices move (frontier restreaming, a seeded assignment, a migration
-// penalty, heterogeneous capacities).
+// current move by move must equal a fresh scan of the assignment, and
+// every vertex's X_j(v) the pin-walk reference, across both neighbour-count
+// modes, both sides of the neighbour-CSR budget, uniform, hierarchical and
+// profiled matrices, the exhaustive and touched-only scans, and the options
+// that change which vertices move (frontier restreaming, a seeded
+// assignment, a migration penalty, heterogeneous capacities).
 func TestIncrementalPairCountsMatchScan(t *testing.T) {
 	p := 16
 	initial := make([]int32, 400)
@@ -110,17 +180,20 @@ func TestIncrementalPairCountsMatchScan(t *testing.T) {
 			for _, vc := range variants {
 				for _, weighted := range []bool{false, true} {
 					for _, exhaustive := range []bool{false, true} {
-						cfg := DefaultConfig(cc.cost)
-						cfg.MaxIterations = 25
-						cfg.UseEdgeWeights = weighted
-						cfg.forceExhaustive = exhaustive
-						cfg.forceTouchedOnly = !exhaustive
-						if vc.mut != nil {
-							vc.mut(&cfg)
+						for _, pinWalk := range []bool{false, true} {
+							cfg := DefaultConfig(cc.cost)
+							cfg.MaxIterations = 25
+							cfg.UseEdgeWeights = weighted
+							cfg.forceExhaustive = exhaustive
+							cfg.forceTouchedOnly = !exhaustive
+							cfg.forcePinWalk = pinWalk
+							if vc.mut != nil {
+								vc.mut(&cfg)
+							}
+							label := fmt.Sprintf("seed=%d/%s/%s/weighted=%v/exhaustive=%v/pinwalk=%v",
+								seed, cc.label, vc.label, weighted, exhaustive, pinWalk)
+							runCheckingPairs(t, label, h, cfg, nil, nil)
 						}
-						label := fmt.Sprintf("seed=%d/%s/%s/weighted=%v/exhaustive=%v",
-							seed, cc.label, vc.label, weighted, exhaustive)
-						runCheckingPairs(t, label, h, cfg, nil)
 					}
 				}
 			}
@@ -133,7 +206,9 @@ func TestIncrementalPairCountsMatchScan(t *testing.T) {
 // rather than stream against a stale size or stale counts. The previous
 // run's matrix is injected explicitly (the pool may or may not hand the
 // same scratch back), and the runs also go through the pool as serving
-// does.
+// does. The injected scratch also carries neighbour lists built for a
+// larger graph, in the other neighbour-count mode, which the run must
+// rebuild rather than extend.
 func TestPooledPairCountsAcrossPartitionCounts(t *testing.T) {
 	h := randomHG(6, 500, 700, 8)
 	var stale *metrics.PairCounts
@@ -143,9 +218,11 @@ func TestPooledPairCountsAcrossPartitionCounts(t *testing.T) {
 			cfg.MaxIterations = 12
 			cfg.UseEdgeWeights = weighted
 			label := fmt.Sprintf("p=%d/weighted=%v", p, weighted)
-			runCheckingPairs(t, label+"/pool", h, cfg, nil)
+			runCheckingPairs(t, label+"/pool", h, cfg, nil, nil)
 			if stale != nil {
-				runCheckingPairs(t, label+"/stale", h, cfg, stale)
+				var nbrs metrics.Neighbours
+				nbrs.Build(randomHG(16, 900, 1300, 8), !weighted, &metrics.NeighbourWalk{}, nil, nil)
+				runCheckingPairs(t, label+"/stale", h, cfg, stale, &nbrs)
 			}
 		}
 		// Leave a dirty p×p matrix for the next partition count.
@@ -161,25 +238,30 @@ func TestPooledPairCountsAcrossPartitionCounts(t *testing.T) {
 // TestParallelScanCostMatchesAcrossWorkers pins the shared PC(P)
 // definition across the kernels: on the same assignment, the parallel
 // barrier scan with 1, 2 and 4 workers, the serial kernel and metrics
-// report bit-identical costs, in both neighbour-count modes. The parts are
-// scanned by cancelling the run before its first stream, so FinalCommCost
-// is the barrier scan of the seeded assignment.
+// report bit-identical costs, in both neighbour-count modes and on both
+// sides of the neighbour-CSR budget. The parts are scanned by cancelling
+// the run before its first stream, so FinalCommCost is the barrier scan of
+// the seeded assignment.
 func TestParallelScanCostMatchesAcrossWorkers(t *testing.T) {
 	h := randomHG(10, 700, 900, 8)
 	p := 32
 	for _, weighted := range []bool{false, true} {
 		for _, cc := range []struct {
-			label string
-			cost  [][]float64
+			label   string
+			cost    [][]float64
+			pinWalk bool
 		}{
-			{"uniform", profile.UniformCost(p)},
-			{"hier2", hier2Cost(p)},
-			{"profiled", physCost(p, 2)},
+			{"uniform", profile.UniformCost(p), false},
+			{"hier2", hier2Cost(p), false},
+			{"profiled", physCost(p, 2), false},
+			{"uniform/pinwalk", profile.UniformCost(p), true},
+			{"profiled/pinwalk", physCost(p, 2), true},
 		} {
 			label := fmt.Sprintf("%s/weighted=%v", cc.label, weighted)
 			cfg := DefaultConfig(cc.cost)
 			cfg.MaxIterations = 15
 			cfg.UseEdgeWeights = weighted
+			cfg.forcePinWalk = cc.pinWalk
 			// A partition worth scanning: the output of a 4-worker run.
 			seedRun, err := PartitionParallel(h, cfg, 4)
 			if err != nil {

@@ -131,6 +131,10 @@ type parallelState struct {
 	// FrontierRestreaming is on.
 	dirty []int32
 
+	// nbrs is the run's neighbour lists, built once in worker 0's scratch
+	// and read by every worker; a worker's pin-walk buffer is its own.
+	nbrs *metrics.Neighbours
+
 	// cidx is the shared (immutable) cost-tier index; per-worker scan
 	// state — block argmin caches, scored stamps — lives in each worker
 	// scratch.
@@ -229,7 +233,7 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 	for id := 0; id < workers; id++ {
 		w := &parallelWorker{
 			run: r, s: s, id: id,
-			sc:   acquireScratch(nv, p),
+			sc:   acquireScratch(p),
 			cmds: make(chan passCmd, 1),
 		}
 		r.pool[id] = w
@@ -250,6 +254,17 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 		}
 		w.loadOf = func(i int32) int64 { return w.view[i] }
 		w.untouched = func(i int32) bool { return w.sc.pstamp[i] != w.sc.epoch }
+	}
+	// The neighbour lists are built before any worker starts, so workers
+	// only ever read them.
+	sc0 := r.pool[0].sc
+	s.nbrs = &sc0.nbrs
+	if cfg.forcePinWalk {
+		s.nbrs.UsePinWalk(h, cfg.UseEdgeWeights)
+	} else {
+		s.nbrs.Build(h, cfg.UseEdgeWeights, &sc0.walk, nil, nil)
+	}
+	for id, w := range r.pool {
 		r.exit.Add(1)
 		go func(w *parallelWorker, id int) {
 			defer r.exit.Done()
@@ -496,6 +511,9 @@ func (r *parallelRun) run() Result {
 		// Workers are quiescent between dispatches, so merging their
 		// tallies here is race-free.
 		total := StreamStats{Passes: passes, FrontierPasses: frontierPasses}
+		if !s.nbrs.Materialised() {
+			total.PinWalkRuns = 1
+		}
 		for _, w := range r.pool {
 			total.Add(w.tally)
 		}
@@ -619,12 +637,13 @@ func (w *parallelWorker) collect() {
 
 // scan counts the neighbour pairs of the worker's vertex range of the pass
 // snapshot into its scratch's pair counts (hyperedge-weighted when
-// UseEdgeWeights). Concurrent moves make per-move count updates inexact
-// here, so unlike the serial kernel the parallel one rescans every pass.
+// UseEdgeWeights), reading the run's neighbour lists. Concurrent moves make
+// per-move count updates inexact here, so unlike the serial kernel the
+// parallel one rescans every pass.
 func (w *parallelWorker) scan() {
 	s := w.s
 	w.sc.pairs.Reset(s.p)
-	w.sc.comm.Count(&w.sc.pairs, s.h, s.snapshot, s.cfg.UseEdgeWeights, w.lo, w.hi)
+	s.nbrs.Count(&w.sc.pairs, s.snapshot, &w.sc.walk, w.lo, w.hi)
 }
 
 // flushDeltas applies the worker's batched load changes to the shared
@@ -723,7 +742,7 @@ func (w *parallelWorker) streamPass(pass int, alpha float64, frontierOnly bool) 
 				}
 			}
 		}
-		w.gather(v)
+		nbrs := w.gather(v)
 		cur := s.parts[v].Load()
 
 		var bestPart int32
@@ -775,7 +794,7 @@ func (w *parallelWorker) streamPass(pass int, alpha float64, frontierOnly bool) 
 				}
 			}
 			if mark {
-				w.markDirty(v, next)
+				w.markDirty(v, nbrs, next)
 			}
 		}
 	}
@@ -800,56 +819,42 @@ func (w *parallelWorker) streamPass(pass int, alpha float64, frontierOnly bool) 
 }
 
 // gather fills the worker scratch with X_j(v) against the live shared
-// assignment (the parallel twin of Partitioner.gatherNeighbourCounts).
-func (w *parallelWorker) gather(v int) {
+// assignment (the parallel twin of Partitioner.gatherNeighbourCounts) and
+// returns v's neighbour list for markDirty.
+func (w *parallelWorker) gather(v int) []int32 {
 	s, sc := w.s, w.sc
-	h := s.h
 	epoch := sc.bumpEpoch()
-	sc.vstamp[v] = epoch
 	sc.touched = sc.touched[:0]
-	weighted := s.cfg.UseEdgeWeights
-	for _, e := range h.IncidentEdges(v) {
-		wt := 1.0
-		if weighted {
-			wt = float64(h.EdgeWeight(int(e)))
+	nbrs, wts := s.nbrs.Of(v, &sc.walk)
+	for i, u := range nbrs {
+		part := s.parts[u].Load()
+		if sc.pstamp[part] != epoch {
+			sc.pstamp[part] = epoch
+			sc.xCounts[part] = 0
+			sc.touched = append(sc.touched, part)
 		}
-		for _, u := range h.Pins(int(e)) {
-			if weighted {
-				if int(u) == v {
-					continue
-				}
-			} else if sc.vstamp[u] == epoch {
-				continue
-			} else {
-				sc.vstamp[u] = epoch
-			}
-			part := s.parts[u].Load()
-			if sc.pstamp[part] != epoch {
-				sc.pstamp[part] = epoch
-				sc.xCounts[part] = 0
-				sc.touched = append(sc.touched, part)
-			}
-			sc.xCounts[part] += wt
+		if wts == nil {
+			sc.xCounts[part]++
+		} else {
+			sc.xCounts[part] += float64(wts[i])
 		}
 	}
+	return nbrs
 }
 
-// markDirty stamps v and every neighbour as frontier members for the next
-// pass. The load-check avoids re-dirtying cache lines already stamped by a
-// peer (or by this worker via an earlier hot hyperedge) — on write-shared
-// hyperedges the unconditional store turned every mark into cross-core
-// invalidation traffic.
-func (w *parallelWorker) markDirty(v int, next int32) {
-	s := w.s
-	h := s.h
-	if atomic.LoadInt32(&s.dirty[v]) != next {
-		atomic.StoreInt32(&s.dirty[v], next)
+// markDirty stamps v and its neighbours nbrs as frontier members for the
+// next pass. The load-check avoids re-dirtying cache lines already stamped
+// by a peer (or by this worker via an earlier hot hyperedge) — on
+// write-shared hyperedges the unconditional store turned every mark into
+// cross-core invalidation traffic.
+func (w *parallelWorker) markDirty(v int, nbrs []int32, next int32) {
+	dirty := w.s.dirty
+	if atomic.LoadInt32(&dirty[v]) != next {
+		atomic.StoreInt32(&dirty[v], next)
 	}
-	for _, e := range h.IncidentEdges(v) {
-		for _, u := range h.Pins(int(e)) {
-			if atomic.LoadInt32(&s.dirty[u]) != next {
-				atomic.StoreInt32(&s.dirty[u], next)
-			}
+	for _, u := range nbrs {
+		if atomic.LoadInt32(&dirty[u]) != next {
+			atomic.StoreInt32(&dirty[u], next)
 		}
 	}
 }

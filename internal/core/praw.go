@@ -140,6 +140,10 @@ type Config struct {
 	// Unexported: the equivalence tests use it to exercise the fast paths at
 	// small p.
 	forceTouchedOnly bool
+	// forcePinWalk serves every neighbour list by walking pins, the path a
+	// graph over the neighbour-CSR budget takes. Unexported: the parity
+	// tests use it to run both sides of the budget on small graphs.
+	forcePinWalk bool
 }
 
 // fastScanMinPartitions is the default partition count below which the
@@ -354,7 +358,7 @@ func New(h *hypergraph.Hypergraph, cfg Config) (*Partitioner, error) {
 	if !cidx.matches(cfg.CostMatrix) {
 		cidx = BuildCostIndex(cfg.CostMatrix)
 	}
-	sc := acquireScratch(h.NumVertices(), p)
+	sc := acquireScratch(p)
 	sc.parts = growI32(sc.parts, h.NumVertices())
 	pr := &Partitioner{
 		h:     h,
@@ -431,8 +435,11 @@ func costStructure(cost [][]float64) (uniform bool, uniformC, minOff float64) {
 	return uniform, uniformC, minOff
 }
 
-// FennelAlpha returns the FENNEL starting value sqrt(p)·|E|/sqrt(|V|)
-// (Tsourakakis et al., adopted by the paper in §4).
+// FennelAlpha returns the starting balance weight sqrt(p)·|E|/sqrt(|V|)
+// that the paper's §4 attributes to FENNEL. It is not FENNEL's own α: that
+// is sqrt(k)·m/n^{3/2} (Tsourakakis et al.), a factor |V| smaller. The
+// deviation is kept until ROADMAP item 1 settles it, because α moves every
+// partition and every reported comm cost.
 func FennelAlpha(p, numEdges, numVertices int) float64 {
 	if numVertices == 0 {
 		return 1
@@ -444,6 +451,9 @@ func FennelAlpha(p, numEdges, numVertices int) float64 {
 func (pr *Partitioner) Run() Result {
 	nv := pr.h.NumVertices()
 	pr.resetAssignment()
+	if !pr.sc.nbrs.Materialised() {
+		pr.tally.PinWalkRuns++
+	}
 	expected := pr.expectedLoads()
 
 	alpha := pr.cfg.Alpha0
@@ -571,9 +581,10 @@ func (pr *Partitioner) Run() Result {
 
 // resetAssignment restores the initial assignment (round-robin, or the
 // caller's when repartitioning), the loads derived from it, and the pair
-// counts of PC(P) — the run's one comm scan; stream keeps them current
-// from then on. Run starts with it; the kernel benchmarks call it to
-// restart between measured streams.
+// counts of PC(P), and builds the run's neighbour lists. Lists and counts
+// come from the run's one pin walk; stream keeps the counts current from
+// then on. Run starts with it; the kernel benchmarks call it to restart
+// between measured streams.
 func (pr *Partitioner) resetAssignment() {
 	h, p := pr.h, pr.p
 	nv := h.NumVertices()
@@ -593,8 +604,14 @@ func (pr *Partitioner) resetAssignment() {
 		pr.loads[pr.parts[v]] += w
 		pr.totalW += w
 	}
-	pr.sc.pairs.Reset(p)
-	pr.sc.comm.Count(&pr.sc.pairs, h, pr.parts, pr.cfg.UseEdgeWeights, 0, nv)
+	sc := pr.sc
+	sc.pairs.Reset(p)
+	if pr.cfg.forcePinWalk {
+		sc.nbrs.UsePinWalk(h, pr.cfg.UseEdgeWeights)
+		sc.nbrs.Count(&sc.pairs, pr.parts, &sc.walk, 0, nv)
+		return
+	}
+	sc.nbrs.Build(h, pr.cfg.UseEdgeWeights, &sc.walk, &sc.pairs, pr.parts)
 }
 
 // expectedLoads returns E(i) per partition: totalW/p for homogeneous
@@ -715,7 +732,7 @@ func (pr *Partitioner) stream(alpha float64, expected []float64, order []int32, 
 			}
 			visited++
 		}
-		pr.gatherNeighbourCounts(v)
+		nbrs := pr.gatherNeighbourCounts(v)
 
 		var bestPart int32
 		switch {
@@ -772,7 +789,7 @@ func (pr *Partitioner) stream(alpha float64, expected []float64, order []int32, 
 				}
 			}
 			if mark {
-				pr.markDirty(v, next)
+				markDirty(sc.dirty, v, nbrs, next)
 			}
 			moves++
 		}
@@ -1232,64 +1249,49 @@ func (pr *Partitioner) movePairs(a, b int32) {
 	}
 }
 
-// markDirty stamps v and every neighbour of v as frontier members for pass
+// markDirty stamps v and its neighbours nbrs as frontier members for pass
 // `next`: a vertex must be re-streamed iff it or a neighbour moved. The
 // stamp is checked before the store: vertices on hot hyperedges are marked
 // once per moving neighbour, and skipping the redundant stores keeps their
 // cache lines clean instead of re-dirtying them on every mark.
-func (pr *Partitioner) markDirty(v int, next int32) {
-	h := pr.h
-	dirty := pr.sc.dirty
+func markDirty(dirty []int32, v int, nbrs []int32, next int32) {
 	dirty[v] = next
-	for _, e := range h.IncidentEdges(v) {
-		for _, u := range h.Pins(int(e)) {
-			if dirty[u] != next {
-				dirty[u] = next
-			}
+	for _, u := range nbrs {
+		if dirty[u] != next {
+			dirty[u] = next
 		}
 	}
 }
 
 // gatherNeighbourCounts fills xCounts/touched with X_j(v): the number of
-// distinct neighbours of v in each partition j (paper eq 4). Distinctness is
-// enforced with epoch stamps so a neighbour shared by several hyperedges
-// counts once, and v itself never counts. With UseEdgeWeights the semantics
-// switch to hyperedge-weighted pin incidences: every (edge, neighbour) pair
-// contributes w(e), modelling per-edge communication volume (§8.2). Epoch
-// wraparound (after 2^31−2 gathers, e.g. a pooled scratch serving jobs for
-// days) is handled by scratch.bumpEpoch, which zeroes the stamps and
-// restarts the epoch at 1.
-func (pr *Partitioner) gatherNeighbourCounts(v int) {
-	h := pr.h
+// distinct neighbours of v in each partition j (paper eq 4), or with
+// UseEdgeWeights their summed shared hyperedge weight — every (edge,
+// neighbour) incidence contributes w(e), modelling per-edge communication
+// volume (§8.2). It iterates v's neighbour list, so partitions are touched
+// in the order a pin walk first meets them and, the weights being exact
+// integers, every sum equals the pin walk's bit for bit. It returns the
+// list for markDirty. Partition-stamp wraparound (after 2^31−2 gathers,
+// e.g. a pooled scratch serving jobs for days) is handled by
+// scratch.bumpEpoch, which zeroes the stamps and restarts the epoch at 1.
+func (pr *Partitioner) gatherNeighbourCounts(v int) []int32 {
 	sc := pr.sc
 	epoch := sc.bumpEpoch()
-	sc.vstamp[v] = epoch
 	sc.touched = sc.touched[:0]
-	weighted := pr.cfg.UseEdgeWeights
-	for _, e := range h.IncidentEdges(v) {
-		w := 1.0
-		if weighted {
-			w = float64(h.EdgeWeight(int(e)))
+	nbrs, wts := sc.nbrs.Of(v, &sc.walk)
+	for i, u := range nbrs {
+		part := pr.parts[u]
+		if sc.pstamp[part] != epoch {
+			sc.pstamp[part] = epoch
+			sc.xCounts[part] = 0
+			sc.touched = append(sc.touched, part)
 		}
-		for _, u := range h.Pins(int(e)) {
-			if weighted {
-				if int(u) == v {
-					continue
-				}
-			} else if sc.vstamp[u] == epoch {
-				continue
-			} else {
-				sc.vstamp[u] = epoch
-			}
-			part := pr.parts[u]
-			if sc.pstamp[part] != epoch {
-				sc.pstamp[part] = epoch
-				sc.xCounts[part] = 0
-				sc.touched = append(sc.touched, part)
-			}
-			sc.xCounts[part] += w
+		if wts == nil {
+			sc.xCounts[part]++
+		} else {
+			sc.xCounts[part] += float64(wts[i])
 		}
 	}
+	return nbrs
 }
 
 // Partition is the one-call convenience wrapper: configure, run, return the

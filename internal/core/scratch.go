@@ -8,9 +8,10 @@ import (
 )
 
 // scratch bundles every reusable buffer one streaming kernel needs: the
-// epoch-stamped neighbour gather, the min-load index of the touched-only
-// scan, the frontier stamps of frontier restreaming, the assignment/load
-// vectors, and the pair counts of the convergence check.
+// neighbour lists and the epoch-stamped partition gather over them, the
+// min-load index of the touched-only scan, the frontier stamps of frontier
+// restreaming, the assignment/load vectors, and the pair counts of the
+// convergence check.
 //
 // Scratches are recycled through a package-level sync.Pool so a long-lived
 // server partitioning job after job stops allocating in the kernel: New (and
@@ -19,8 +20,15 @@ import (
 // ever grow, which is what makes reuse safe — stamps written for a previous
 // (possibly larger) hypergraph can never equal a future epoch.
 type scratch struct {
-	// Distinct-neighbour gather state (paper eq 4).
-	vstamp  []int32
+	// Neighbour enumeration (see metrics.Neighbours): nbrs holds the run's
+	// distinct-neighbour CSR, rebuilt in place every run, and walk the
+	// pin-walk stamps and buffer that build it and that serve a graph over
+	// the CSR budget. A parallel run builds the CSR in worker 0's scratch
+	// only; every worker walks with its own walk.
+	nbrs metrics.Neighbours
+	walk metrics.NeighbourWalk
+
+	// Partition gather state: X_j(v) per touched partition (paper eq 4).
 	pstamp  []int32
 	epoch   int32
 	xCounts []float64
@@ -68,27 +76,27 @@ type scratch struct {
 	blockVerts []int64
 
 	// Convergence-check state. pairs is the p×p pair-count matrix M of
-	// PC(P): the serial kernel builds it with one comm scan per run and
-	// then keeps it current move by move; a parallel worker refills it
-	// with its vertex range of the barrier scan every pass. Reset sizes it
-	// for the run's p, so a pooled scratch never carries a stale size.
-	comm  metrics.CommScanner
+	// PC(P): the serial kernel fills it during the run's neighbour-list
+	// build and then keeps it current move by move; a parallel worker
+	// refills it with its vertex range of the barrier scan every pass.
+	// Reset sizes it for the run's p, so a pooled scratch never carries a
+	// stale size.
 	pairs metrics.PairCounts
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
 // acquireScratch takes a scratch from the pool and sizes the buffers every
-// kernel needs: the gather state and the p-sized load vectors. The other
-// nv-sized buffers (parts/bestParts/order/dirty) are grown lazily by the
-// code paths that actually use them, so parallel workers — which share
-// assignment state through parallelState — and feature-off serial runs
-// don't allocate or pin arrays they never touch. Growing reallocates
-// (zeroed, which is always safe); shrinking reslices, leaving stale stamps
-// that the monotone epoch counters never collide with.
-func acquireScratch(nv, p int) *scratch {
+// kernel needs: the gather state and the p-sized load vectors. The
+// nv-sized buffers (parts/bestParts/order/dirty, the neighbour CSR and
+// walk stamps) are grown lazily by the code paths that actually use them,
+// so parallel workers — which share assignment state through
+// parallelState — and feature-off serial runs don't allocate or pin arrays
+// they never touch. Growing reallocates (zeroed, which is always safe);
+// shrinking reslices, leaving stale stamps that the monotone epoch
+// counters never collide with.
+func acquireScratch(p int) *scratch {
 	sc := scratchPool.Get().(*scratch)
-	sc.vstamp = growI32(sc.vstamp, nv)
 	sc.pstamp = growI32(sc.pstamp, p)
 	sc.sstamp = growI32(sc.sstamp, p)
 	sc.touched = sc.touched[:0]
@@ -107,8 +115,11 @@ func acquireScratch(nv, p int) *scratch {
 	return sc
 }
 
+// releaseScratch returns sc to the pool, dropping its graph reference so a
+// pooled scratch keeps buffers alive, never a hypergraph.
 func releaseScratch(sc *scratch) {
 	if sc != nil {
+		sc.nbrs.Release()
 		scratchPool.Put(sc)
 	}
 }
@@ -133,9 +144,6 @@ func growI64(s []int64, n int) []int64 {
 func (sc *scratch) bumpEpoch() int32 {
 	sc.epoch++
 	if sc.epoch == math.MaxInt32 {
-		for i := range sc.vstamp {
-			sc.vstamp[i] = 0
-		}
 		for i := range sc.pstamp {
 			sc.pstamp[i] = 0
 		}

@@ -44,6 +44,11 @@ type StreamStats struct {
 	// bound; ExactSettles counts blocks settled by scoring a single member.
 	BlockRejections int64 `json:"block_rejections,omitempty"`
 	ExactSettles    int64 `json:"exact_settles,omitempty"`
+
+	// PinWalkRuns counts runs whose graph exceeded the neighbour-CSR
+	// budget (see metrics.Neighbours), so every neighbour list was walked
+	// from the pins, pass after pass, instead of read from the CSR.
+	PinWalkRuns int64 `json:"pin_walk_runs,omitempty"`
 }
 
 // Add accumulates o into s.
@@ -61,6 +66,7 @@ func (s *StreamStats) Add(o StreamStats) {
 	s.BlockedWork += o.BlockedWork
 	s.BlockRejections += o.BlockRejections
 	s.ExactSettles += o.ExactSettles
+	s.PinWalkRuns += o.PinWalkRuns
 }
 
 // IsZero reports whether no activity was recorded.

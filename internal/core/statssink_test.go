@@ -39,7 +39,8 @@ func assertPopulated(t *testing.T, label string, ks StreamStats) {
 // attaching a Stats sink must not change a single move — the run with a
 // sink matches the run without one bit for bit — while the sink comes back
 // populated. Covered across the three scan regimes (uniform heap scan,
-// profiled blocked scan, exact hierarchical tiers).
+// profiled blocked scan, exact hierarchical tiers), and on both gather
+// paths: only a run forced onto the pin walk counts a PinWalkRuns.
 func TestStatsSinkDoesNotPerturbKernel(t *testing.T) {
 	h := randomHG(3, 300, 400, 8)
 	for _, tc := range []struct {
@@ -66,6 +67,16 @@ func TestStatsSinkDoesNotPerturbKernel(t *testing.T) {
 		assertPopulated(t, tc.label, ks)
 		if ks.Passes < int64(plain.Iterations) {
 			t.Fatalf("%s: %d passes for %d iterations", tc.label, ks.Passes, plain.Iterations)
+		}
+		if ks.PinWalkRuns != 0 {
+			t.Fatalf("%s: %d pin-walk runs on a graph inside the CSR budget", tc.label, ks.PinWalkRuns)
+		}
+		// The over-budget path moves identically and says so.
+		cfg.forcePinWalk = true
+		walked, kw := runWithSink(t, h, cfg)
+		assertIdentical(t, tc.label+"/pinwalk", walked, plain)
+		if kw.PinWalkRuns != 1 {
+			t.Fatalf("%s: pin-walk run recorded %d pin-walk runs, want 1", tc.label, kw.PinWalkRuns)
 		}
 	}
 }
@@ -103,6 +114,7 @@ func TestStatsSinkAccumulates(t *testing.T) {
 		BlockedWork:         2 * single.BlockedWork,
 		BlockRejections:     2 * single.BlockRejections,
 		ExactSettles:        2 * single.ExactSettles,
+		PinWalkRuns:         2 * single.PinWalkRuns,
 	}) {
 		t.Fatalf("two runs accumulated %+v, one run records %+v", ks, single)
 	}
@@ -138,5 +150,17 @@ func TestStatsSinkParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertPopulated(t, fmt.Sprintf("parallel/%d", workers), kw)
+		if kw.PinWalkRuns != 0 {
+			t.Fatalf("parallel/%d: %d pin-walk runs inside the CSR budget", workers, kw.PinWalkRuns)
+		}
+	}
+	var kp StreamStats
+	cfg.Stats = &kp
+	cfg.forcePinWalk = true
+	if _, err := PartitionParallel(h, cfg, 2); err != nil {
+		t.Fatal(err)
+	}
+	if kp.PinWalkRuns != 1 {
+		t.Fatalf("parallel pin-walk run recorded %d pin-walk runs, want 1", kp.PinWalkRuns)
 	}
 }

@@ -5,7 +5,7 @@
 // relation by the physical cost of the link between the two partitions.
 //
 // PC(P) has one implementation: a p×p integer pair-count matrix M
-// (PairCounts, built by CommScanner range scans or kept current by a
+// (PairCounts, built by Neighbours.Count range scans or kept current by a
 // kernel) dotted with the cost matrix in a fixed row-major order
 // (PairCounts.Cost). Evaluate, the serial kernel's per-pass convergence
 // check and the parallel kernel's barrier reduction all go through it, so
@@ -206,65 +206,10 @@ func WeightedCommCost(h *hypergraph.Hypergraph, parts []int32, cost [][]float64)
 func scanCost(h *hypergraph.Hypergraph, parts []int32, cost [][]float64, weighted bool) float64 {
 	var m PairCounts
 	m.Reset(len(cost))
-	NewCommScanner().Count(&m, h, parts, weighted, 0, h.NumVertices())
+	var n Neighbours
+	n.UsePinWalk(h, weighted)
+	n.Count(&m, parts, &NeighbourWalk{}, 0, h.NumVertices())
 	return m.Cost(cost)
-}
-
-// CommScanner builds PairCounts from vertex-range scans with a reusable
-// distinct-neighbour stamp buffer, so repeated scans (one per run in the
-// serial kernel, one per pass in the parallel kernel's convergence check)
-// stop allocating. The buffer grows to the
-// largest vertex count seen and is retained; a CommScanner is not safe for
-// concurrent use.
-type CommScanner struct {
-	vstamp []int
-	epoch  int
-}
-
-// NewCommScanner returns an empty scanner; its buffer is sized lazily on
-// the first Count call.
-func NewCommScanner() *CommScanner { return &CommScanner{} }
-
-// Count adds the ordered neighbour pairs of every vertex v in [lo, hi) to
-// m: one per distinct neighbour u of v, or w(e) per hyperedge e that v
-// shares with u when weighted. m must be sized for the partition count of
-// parts. Counts over a disjoint cover of the vertex set sum to the full
-// matrix exactly, which is how the parallel kernel splits the scan across
-// its workers.
-func (s *CommScanner) Count(m *PairCounts, h *hypergraph.Hypergraph, parts []int32, weighted bool, lo, hi int) {
-	nv := h.NumVertices()
-	// The epoch counter persists across calls, so freshly grown (zeroed) or
-	// shrunk (stale-stamped) buffers never alias a live stamp.
-	if cap(s.vstamp) < nv {
-		s.vstamp = make([]int, nv)
-	}
-	vstamp := s.vstamp[:nv]
-	epoch := s.epoch
-	p := m.P
-	for v := lo; v < hi; v++ {
-		epoch++
-		vstamp[v] = epoch // never count v as its own neighbour
-		home := int(parts[v])
-		row := m.N[home*p : (home+1)*p]
-		for _, e := range h.IncidentEdges(v) {
-			if weighted {
-				w := h.EdgeWeight(int(e))
-				for _, u := range h.Pins(int(e)) {
-					if int(u) != v {
-						row[parts[u]] += w
-					}
-				}
-				continue
-			}
-			for _, u := range h.Pins(int(e)) {
-				if vstamp[u] != epoch {
-					vstamp[u] = epoch
-					row[parts[u]]++
-				}
-			}
-		}
-	}
-	s.epoch = epoch
 }
 
 // QualityReport bundles every quality metric for one partition, as reported

@@ -386,10 +386,11 @@ func equalCounts(a, b []int64) bool {
 }
 
 // checkRangePartials checks the parallel-reduction contract of
-// CommScanner.Count in one neighbour-count mode: the full scan matches the
-// brute-force pair enumeration, partial matrices over any disjoint cover of
-// the vertex set merge to it exactly, so their cost is bitwise CommCost
-// (WeightedCommCost) for every split, and an empty range adds nothing.
+// Neighbours.Count in one neighbour-count mode, served from the CSR and by
+// the pin walk: the full scan matches the brute-force pair enumeration,
+// partial matrices over any disjoint cover of the vertex set merge to it
+// exactly, so their cost is bitwise CommCost (WeightedCommCost) for every
+// split, and an empty range adds nothing.
 func checkRangePartials(t *testing.T, weighted bool) {
 	t.Helper()
 	h, parts, cost := randomInstance(17, 200, 300, 8, weighted)
@@ -399,34 +400,44 @@ func checkRangePartials(t *testing.T, weighted bool) {
 		full = WeightedCommCost(h, parts, cost)
 	}
 	want := brutePairs(h, parts, k, weighted)
-	shared := NewCommScanner()
-	for _, pieces := range []int{1, 2, 3, 7} {
-		var sum PairCounts
-		sum.Reset(k)
-		chunk := (nv + pieces - 1) / pieces
-		for w := 0; w < pieces; w++ {
-			lo, hi := w*chunk, min((w+1)*chunk, nv)
-			var part PairCounts
-			part.Reset(k)
-			sc := NewCommScanner()
-			if w%2 == 1 {
-				sc = shared // independent and reused scanners must agree
+	for _, csr := range []bool{true, false} {
+		var n Neighbours
+		var shared NeighbourWalk
+		if csr {
+			if !n.Build(h, weighted, &shared, nil, nil) {
+				t.Fatal("a 300-edge graph does not fit the CSR budget")
 			}
-			sc.Count(&part, h, parts, weighted, lo, hi)
-			sum.Add(&part)
+		} else {
+			n.UsePinWalk(h, weighted)
 		}
-		if !equalCounts(sum.N, want) {
-			t.Fatalf("%d-piece counts %v, want %v", pieces, sum.N, want)
+		for _, pieces := range []int{1, 2, 3, 7} {
+			var sum PairCounts
+			sum.Reset(k)
+			chunk := (nv + pieces - 1) / pieces
+			for w := 0; w < pieces; w++ {
+				lo, hi := w*chunk, min((w+1)*chunk, nv)
+				var part PairCounts
+				part.Reset(k)
+				walk := &NeighbourWalk{}
+				if w%2 == 1 {
+					walk = &shared // independent and reused walkers must agree
+				}
+				n.Count(&part, parts, walk, lo, hi)
+				sum.Add(&part)
+			}
+			if !equalCounts(sum.N, want) {
+				t.Fatalf("csr=%v: %d-piece counts %v, want %v", csr, pieces, sum.N, want)
+			}
+			if got := sum.Cost(cost); got != full {
+				t.Fatalf("csr=%v: %d-piece cost %g, full %g (must be bitwise identical)", csr, pieces, got, full)
+			}
 		}
-		if got := sum.Cost(cost); got != full {
-			t.Fatalf("%d-piece cost %g, full %g (must be bitwise identical)", pieces, got, full)
+		var empty PairCounts
+		empty.Reset(k)
+		n.Count(&empty, parts, &shared, 50, 50)
+		if got := empty.Cost(cost); got != 0 {
+			t.Fatalf("csr=%v: empty range cost %g", csr, got)
 		}
-	}
-	var empty PairCounts
-	empty.Reset(k)
-	shared.Count(&empty, h, parts, weighted, 50, 50)
-	if got := empty.Cost(cost); got != 0 {
-		t.Fatalf("empty range cost %g", got)
 	}
 }
 
@@ -462,11 +473,13 @@ func TestWeightedCommCostUnitWeightsCountsSharedEdges(t *testing.T) {
 // old stride, and a grow must start from zero.
 func TestPairCountsResetResizes(t *testing.T) {
 	var m PairCounts
-	sc := NewCommScanner()
+	var n Neighbours
+	var walk NeighbourWalk
 	for _, k := range []int{32, 256, 16} {
 		h, parts, cost := randomInstance(uint64(k), 150, 200, k, false)
 		m.Reset(k)
-		sc.Count(&m, h, parts, false, 0, h.NumVertices())
+		n.UsePinWalk(h, false)
+		n.Count(&m, parts, &walk, 0, h.NumVertices())
 		if m.P != k || !equalCounts(m.N, brutePairs(h, parts, k, false)) {
 			t.Fatalf("k=%d: counts differ from brute force after reuse", k)
 		}

@@ -211,3 +211,52 @@ func TestServiceTelemetryDisabled(t *testing.T) {
 		t.Fatal("snapshot present without a registry")
 	}
 }
+
+// TestKernelEventsShowPinWalk checks that a job's record and the kernel
+// event family show which neighbour-gather path ran: a graph inside the
+// neighbour-CSR budget records no pin-walk run, while one hyperedge of
+// 1100 pins (1100·1099 neighbour entries, past the 2^20 floor) is served
+// by the pin walk and counted once under event="pin_walk_runs".
+func TestKernelEventsShowPinWalk(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	ts, s := newTestServer(t, Config{Workers: 1, Metrics: reg})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var wide strings.Builder
+	wide.WriteString("1 1100\n")
+	for v := 1; v <= 1100; v++ {
+		wide.WriteString(strconv.Itoa(v) + " ")
+	}
+	wide.WriteString("\n")
+	for _, tc := range []struct {
+		hmetis  string
+		pinWalk int64
+	}{
+		{tinyHMetis, 0},
+		{wide.String(), 1},
+	} {
+		req, err := ParseRequest(hyperpraw.PartitionRequest{
+			Algorithm: "basic",
+			Machine:   hyperpraw.MachineSpec{Kind: "archer", Cores: 4},
+			HMetis:    tc.hmetis,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, done, err := s.Wait(ctx, info.ID)
+		if err != nil || done.Status != hyperpraw.JobDone {
+			t.Fatalf("job %s: %v %s", info.ID, err, done.Error)
+		}
+		if res.Kernel == nil || res.Kernel.PinWalkRuns != tc.pinWalk {
+			t.Fatalf("job %s: kernel stats %+v, want %d pin-walk runs", info.ID, res.Kernel, tc.pinWalk)
+		}
+	}
+	eventually(t, "pin-walk run counted", func() bool {
+		return metricValue(t, scrapeMetrics(t, ts.Client(), ts.URL),
+			`hyperpraw_kernel_events_total{event="pin_walk_runs"}`) == 1
+	})
+}
