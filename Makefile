@@ -37,13 +37,16 @@ vet:
 PARSE_BENCH := 'Benchmark(ReadHMetis|ParseHMetisStream)$$'
 RUN_BENCH := 'BenchmarkRun/sat14'
 
-bench:
-	set -o pipefail; \
+# BENCH_RUN is the one definition of the smoke-benchmark run both targets
+# (and CI, through bench-compare) pipe into benchfmt.
+BENCH_RUN = set -o pipefail; \
 	{ $(GO) test -run '^$$' -bench 'BenchmarkStream' -benchtime 3x -benchmem ./internal/core/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkParallel(Aware|Uniform)' -benchtime 30x -benchmem ./internal/core/ && \
 	  $(GO) test -run '^$$' -bench $(RUN_BENCH) -benchtime 10x -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench $(PARSE_BENCH) -benchtime 200x -benchmem ./internal/hypergraph/; } \
-		| $(GO) run ./cmd/benchfmt -o BENCH_core.json
+	  $(GO) test -run '^$$' -bench $(PARSE_BENCH) -benchtime 200x -benchmem ./internal/hypergraph/; }
+
+bench:
+	$(BENCH_RUN) | $(GO) run ./cmd/benchfmt -o BENCH_core.json
 
 # bench-compare re-runs the smoke benchmarks (same sampling as the
 # committed baseline) and fails if any exhaustive/fast speedup family or
@@ -51,14 +54,10 @@ bench:
 # BENCH_core.json, or if a benchmark the baseline records at zero
 # allocs/op started allocating, or one it records at 1 KiB/op or more grew
 # its B/op past the threshold — the CI guard against fast-path reverts,
-# worker pools that quietly serialise, and parser buffer bloat.
+# worker pools that quietly serialise, and parser buffer bloat. It writes
+# BENCH_new.json, the trajectory point CI uploads.
 bench-compare:
-	set -o pipefail; \
-	{ $(GO) test -run '^$$' -bench 'BenchmarkStream' -benchtime 3x -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkParallel(Aware|Uniform)' -benchtime 30x -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench $(RUN_BENCH) -benchtime 10x -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench $(PARSE_BENCH) -benchtime 200x -benchmem ./internal/hypergraph/; } \
-		| $(GO) run ./cmd/benchfmt -o BENCH_new.json -compare BENCH_core.json -threshold 1.5
+	$(BENCH_RUN) | $(GO) run ./cmd/benchfmt -o BENCH_new.json -compare BENCH_core.json -threshold 1.5
 
 bins:
 	$(GO) build -o bin/hpserve ./cmd/hpserve

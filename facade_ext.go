@@ -25,10 +25,9 @@ func MapToTopology(h *Hypergraph, parts []int32, m *Machine, env Environment) ([
 // workers <= 0 selects GOMAXPROCS. With one worker the result is
 // move-for-move identical to PartitionAware; with more the result is valid
 // but not run-to-run deterministic. At the core level the parallel kernel
-// honours Config.InitialParts (warm starts seed the shared assignment
-// exactly as in the serial path) but rejects Config.MigrationPenalty with
-// core.ErrParallelMigration rather than silently ignoring it — use
-// Repartition for migration-aware restreaming.
+// scores candidates with the serial kernel's code, so it honours
+// Config.InitialParts (warm starts seed the shared assignment exactly as in
+// the serial path) and Config.MigrationPenalty alike.
 func PartitionAwareParallel(h *Hypergraph, env Environment, opts *Options, workers int) ([]int32, PartitionResult, error) {
 	o := opts.orDefault()
 	res, err := core.PartitionParallel(h, prawConfig(env.PhysCost, env.physIndex, o), workers)

@@ -68,15 +68,14 @@ func benchStream(b *testing.B, name string, cost [][]float64, exhaustive bool) {
 	}
 	defer pr.Release()
 	pr.resetAssignment()
-	expected := pr.expectedLoads()
 	alpha := pr.cfg.Alpha0 // New defaults Alpha0 into its own config copy
 	for i := 0; i < 10; i++ {
-		pr.stream(alpha, expected, nil, i+1, false)
+		pr.stream(alpha, nil, i+1, false)
 		alpha *= cfg.TemperFactor
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pr.stream(alpha, expected, nil, 1, false)
+		pr.stream(alpha, nil, 1, false)
 	}
 }
 
@@ -213,7 +212,7 @@ func benchParallelStream(b *testing.B, name string, cost [][]float64, workers in
 	defer run.close()
 	alpha := cfg.Alpha0
 	for i := 0; i < 10; i++ {
-		run.superstep(i+1, alpha, false)
+		run.pass(i+1, alpha, false)
 		alpha *= cfg.TemperFactor
 	}
 	// A few extra supersteps at the measured alpha push every lazily grown
@@ -221,11 +220,11 @@ func benchParallelStream(b *testing.B, name string, cost [][]float64, workers in
 	// its high-water mark before the timer starts, so short -benchtime runs
 	// report the steady-state 0 allocs/op instead of one-time growth.
 	for i := 0; i < 4; i++ {
-		run.superstep(1, alpha, false)
+		run.pass(1, alpha, false)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run.superstep(1, alpha, false)
+		run.pass(1, alpha, false)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"hyperpraw/internal/profile"
@@ -207,22 +206,5 @@ func TestConfigIndexReuse(t *testing.T) {
 	defer pr3.Release()
 	if pr3.cidx == mismatched.Index {
 		t.Fatal("mismatched index was adopted without a rebuild")
-	}
-}
-
-func TestUniformCutoffCalibration(t *testing.T) {
-	prev := setUniformCutoffForTest(17)
-	defer setUniformCutoffForTest(prev)
-	if got := uniformFastCutoff(); got != 17 {
-		t.Fatalf("override ignored: cutoff %d, want 17", got)
-	}
-
-	cutoff := measureUniformCutoff()
-	valid := map[int]bool{8: true, 16: true, 32: true, calFallbackCutoff: true}
-	if !valid[cutoff] {
-		t.Fatalf("measured cutoff %d outside the probe grid", cutoff)
-	}
-	if math.IsNaN(float64(cutoff)) || cutoff < 8 {
-		t.Fatalf("nonsensical cutoff %d", cutoff)
 	}
 }

@@ -118,18 +118,25 @@ func runPair(t *testing.T, h *hypergraph.Hypergraph, cfg Config) (fast, ref Resu
 	return fast, ref
 }
 
-// assertIdentical demands move-for-move equivalence: same iteration count,
-// same number of moves in every stream, and an identical final assignment.
+// assertIdentical demands move-for-move equivalence: same iteration count
+// and stop reason, every History field of every stream bit for bit, an
+// identical final assignment, and the same final cost.
 func assertIdentical(t *testing.T, label string, fast, ref Result) {
 	t.Helper()
 	if fast.Iterations != ref.Iterations || fast.Stopped != ref.Stopped {
 		t.Fatalf("%s: fast ran %d iterations (%v), exhaustive %d (%v)",
 			label, fast.Iterations, fast.Stopped, ref.Iterations, ref.Stopped)
 	}
-	for i := range ref.History {
-		if fast.History[i].Moves != ref.History[i].Moves {
-			t.Fatalf("%s: iteration %d: fast moved %d vertices, exhaustive %d",
-				label, i+1, fast.History[i].Moves, ref.History[i].Moves)
+	if len(fast.History) != len(ref.History) {
+		t.Fatalf("%s: fast recorded %d streams, exhaustive %d", label, len(fast.History), len(ref.History))
+	}
+	bits := math.Float64bits
+	for i, r := range ref.History {
+		f := fast.History[i]
+		if f.Iteration != r.Iteration || f.Moves != r.Moves || f.InTolerance != r.InTolerance ||
+			bits(f.CommCost) != bits(r.CommCost) || bits(f.Imbalance) != bits(r.Imbalance) ||
+			bits(f.Alpha) != bits(r.Alpha) {
+			t.Fatalf("%s: iteration %d: fast %+v, exhaustive %+v", label, i+1, f, r)
 		}
 	}
 	for v := range ref.Parts {
@@ -138,7 +145,7 @@ func assertIdentical(t *testing.T, label string, fast, ref Result) {
 				label, v, fast.Parts[v], ref.Parts[v])
 		}
 	}
-	if fast.FinalCommCost != ref.FinalCommCost {
+	if bits(fast.FinalCommCost) != bits(ref.FinalCommCost) {
 		t.Fatalf("%s: final cost %g vs %g", label, fast.FinalCommCost, ref.FinalCommCost)
 	}
 }
@@ -274,14 +281,39 @@ func TestTieredMatchesExhaustiveParallel(t *testing.T) {
 	}
 }
 
+// frontierSchedule replays the driver's frontier schedule over a run's
+// history: with FrontierRestreaming, pass n > 1 streams only the frontier
+// when pass n−1 ended in tolerance, except every frontierFullSweepEvery-th
+// consecutive pass, which is a full sweep. It returns how many passes were
+// frontier passes.
+func frontierSchedule(cfg Config, history []IterationStats) int64 {
+	var n int64
+	if !cfg.FrontierRestreaming {
+		return 0
+	}
+	consec := 0
+	for i := range history {
+		if i > 0 && history[i-1].InTolerance && consec+1 < frontierFullSweepEvery {
+			consec++
+			n++
+		} else {
+			consec = 0
+		}
+	}
+	return n
+}
+
 // TestParallelSingleWorkerMatchesSerialRun is the single-worker parity
 // property test of the block-aligned parallel kernel: with one worker the
 // visit order is the natural order, the load view is exact at every visit,
-// and the driver loop mirrors Run — so PartitionParallel must reproduce the
-// serial result move for move (same iteration counts, per-pass move counts,
-// final assignment, and final cost) across every scan strategy, frontier
-// restreaming, capacities, a seeded initial assignment and hyperedge
-// weights, on both sides of the neighbour-CSR budget.
+// and both kernels share the scanner and the driver loop — so
+// PartitionParallel must reproduce the serial result move for move (same
+// history, final assignment, and final cost) and record the same kernel
+// counters, across every scan strategy, frontier restreaming, capacities,
+// a seeded initial assignment, a migration penalty, hyperedge weights and
+// a run cancelled before its first pass, on both sides of the
+// neighbour-CSR budget. The counters must also agree with the history:
+// one pass per iteration, and the frontier passes the schedule implies.
 func TestParallelSingleWorkerMatchesSerialRun(t *testing.T) {
 	h := randomHG(7, 400, 500, 8)
 	p := 16
@@ -311,8 +343,18 @@ func TestParallelSingleWorkerMatchesSerialRun(t *testing.T) {
 			c.UseEdgeWeights = true
 			c.FrontierRestreaming = true
 		}, profile.UniformCost(p)},
+		{"migration", func(c *Config) { c.MigrationPenalty = 0.5 }, hier2Cost(p)},
+		{"migration+initialparts", func(c *Config) {
+			c.InitialParts = initial
+			c.MigrationPenalty = 0.5
+		}, physCost(p, 4)},
+		{"canceled", func(c *Config) {
+			c.InitialParts = initial
+			c.Stop = func() bool { return true }
+		}, hier2Cost(p)},
 	} {
 		for _, pinWalk := range []bool{false, true} {
+			label := fmt.Sprintf("%s/pinwalk=%v", tc.label, pinWalk)
 			cfg := DefaultConfig(tc.cost)
 			cfg.MaxIterations = 25
 			cfg.RecordHistory = true
@@ -321,17 +363,29 @@ func TestParallelSingleWorkerMatchesSerialRun(t *testing.T) {
 			if tc.mut != nil {
 				tc.mut(&cfg)
 			}
+			var serialStats, parStats StreamStats
+			cfg.Stats = &serialStats
 			pr, err := New(h, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			serial := pr.Run()
 			pr.Release()
+			cfg.Stats = &parStats
 			par, err := PartitionParallel(h, cfg, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertIdentical(t, fmt.Sprintf("%s/pinwalk=%v", tc.label, pinWalk), par, serial)
+			assertIdentical(t, label, par, serial)
+			if parStats != serialStats {
+				t.Fatalf("%s: parallel counters %+v, serial %+v", label, parStats, serialStats)
+			}
+			if serialStats.Passes != int64(serial.Iterations) {
+				t.Fatalf("%s: %d passes counted for %d iterations", label, serialStats.Passes, serial.Iterations)
+			}
+			if want := frontierSchedule(cfg, serial.History); serialStats.FrontierPasses != want {
+				t.Fatalf("%s: %d frontier passes counted, the schedule ran %d", label, serialStats.FrontierPasses, want)
+			}
 		}
 	}
 }
@@ -514,7 +568,7 @@ func TestFrontierDeterministicAcrossPool(t *testing.T) {
 	}
 }
 
-// TestEpochWraparoundReset covers gatherNeighbourCounts' wraparound path: at
+// TestEpochWraparoundReset covers gather's wraparound path: at
 // epoch MaxInt32−1 the next gather must zero every partition stamp, restart
 // the epoch at 1, and still produce the exact neighbour counts — including
 // on the gather immediately after the reset. (The pin walk's own stamps
@@ -524,7 +578,7 @@ func TestEpochWraparoundReset(t *testing.T) {
 	cfg := DefaultConfig(profile.UniformCost(6))
 
 	gatherCounts := func(pr *Partitioner, v int) map[int32]float64 {
-		pr.gatherNeighbourCounts(v)
+		pr.gather(v)
 		out := make(map[int32]float64, len(pr.sc.touched))
 		for _, j := range pr.sc.touched {
 			out[j] = pr.sc.xCounts[j]
@@ -540,7 +594,7 @@ func TestEpochWraparoundReset(t *testing.T) {
 	pr.resetAssignment()
 	// Dirty the stamps with a few ordinary gathers first.
 	for v := 0; v < 10; v++ {
-		pr.gatherNeighbourCounts(v)
+		pr.gather(v)
 	}
 	pr.sc.epoch = math.MaxInt32 - 1
 

@@ -56,7 +56,7 @@ func refGather(h *hypergraph.Hypergraph, parts []int32, v int, weighted bool) (t
 func checkGathers(t *testing.T, label string, pr *Partitioner) {
 	t.Helper()
 	for v := 0; v < pr.h.NumVertices(); v++ {
-		pr.gatherNeighbourCounts(v)
+		pr.gather(v)
 		touched, x := refGather(pr.h, pr.parts, v, pr.cfg.UseEdgeWeights)
 		if len(pr.sc.touched) != len(touched) {
 			t.Fatalf("%s: vertex %d: touched %v, reference %v", label, v, pr.sc.touched, touched)

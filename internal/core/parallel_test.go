@@ -1,32 +1,12 @@
 package core
 
 import (
-	"errors"
 	"sync"
 	"testing"
 
 	"hyperpraw/internal/metrics"
 	"hyperpraw/internal/profile"
 )
-
-// TestParallelMigrationPenaltyRejected pins the documented contract:
-// MigrationPenalty has never been honoured by the parallel kernel, and
-// silently ignoring it would hand back partitions the caller believes are
-// migration-aware. The error must be the sentinel, after validation.
-func TestParallelMigrationPenaltyRejected(t *testing.T) {
-	h := randomHG(11, 100, 140, 6)
-	cfg := DefaultConfig(profile.UniformCost(8))
-	cfg.MigrationPenalty = 0.5
-	_, err := PartitionParallel(h, cfg, 2)
-	if !errors.Is(err, ErrParallelMigration) {
-		t.Fatalf("got %v, want ErrParallelMigration", err)
-	}
-	// Invalid configs still fail validation first.
-	cfg.ImbalanceTolerance = 0.5
-	if _, err := PartitionParallel(h, cfg, 2); err == nil || errors.Is(err, ErrParallelMigration) {
-		t.Fatalf("validation error expected before the migration check, got %v", err)
-	}
-}
 
 // TestParallelInitialPartsSeeded proves PartitionParallel seeds from
 // Config.InitialParts rather than round-robin: a run cancelled before its
@@ -138,10 +118,10 @@ func TestParallelSuperstepDoesNotAllocate(t *testing.T) {
 	defer run.close()
 	alpha := cfg.Alpha0
 	for i := 0; i < 3; i++ {
-		run.superstep(1, alpha, false)
+		run.pass(1, alpha, false)
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		run.superstep(1, alpha, false)
+		run.pass(1, alpha, false)
 	})
 	if avg != 0 {
 		t.Fatalf("superstep allocates %.1f objects/op on the driver, want 0", avg)

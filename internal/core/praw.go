@@ -29,7 +29,6 @@ import (
 	"math"
 
 	"hyperpraw/internal/hypergraph"
-	"hyperpraw/internal/metrics"
 )
 
 // Config parameterises a HyperPRAW run. The zero value is not usable; start
@@ -146,15 +145,14 @@ type Config struct {
 	forcePinWalk bool
 }
 
-// fastScanMinPartitions is the default partition count below which the
+// fastScanMinPartitions is the partition count below which the uniform
 // touched-only scan is skipped: for small p the exhaustive scan's
-// p·|touched| fused multiply-adds cost less than any per-vertex index
-// traffic. For the uniform path the hardcoded value is only the fallback —
-// the first gray-zone run measures the actual break-even on this machine
-// (see calibrate.go). The blocked (cost-tier) scan pays O(B) per vertex
-// for the block walk, so it amortises at the same small p as the uniform
-// scan; the scalar-bound pruned scan for unstructured matrices
-// (pickBounded) pays several heap pops per vertex and needs a larger p.
+// p·|touched| fused multiply-adds cost as much as the per-vertex heap
+// traffic (both scans pick identical moves, so the threshold only trades
+// speed). The blocked (cost-tier) scan pays O(B) per vertex for the block
+// walk, so it amortises at the same small p as the uniform scan; the
+// scalar-bound pruned scan for unstructured matrices (pickBounded) pays
+// several heap pops per vertex and needs a larger p.
 const (
 	fastScanMinPartitions    = 32
 	blockedScanMinPartitions = 32
@@ -268,38 +266,13 @@ func (r StopReason) String() string {
 // Create with New, run with Run, and call Release when done to return the
 // pooled buffers. A Partitioner is not safe for concurrent use.
 type Partitioner struct {
-	h   *hypergraph.Hypergraph
-	cfg Config
-	p   int
-
-	parts  []int32 // aliases sc.parts
-	loads  []int64 // aliases sc.loads
-	totalW int64
-
-	// sc holds every reusable buffer (gather stamps, min-load index,
-	// frontier stamps, assignment vectors), recycled across Partitioners via
-	// a sync.Pool so steady-state serving is allocation-free in the kernel.
-	sc *scratch
-
-	// cidx is the cost-tier index: the matrix's structure classification
-	// plus the block floors and walk orders the blocked scan consumes.
-	// Taken from Config.Index when it matches the matrix, built otherwise.
-	cidx *CostIndex
-
-	// fastEligible caches whether the touched-only scan pays off for this
-	// (cost structure, p) pair; see fastScanEligible.
-	fastEligible bool
-
-	// tally accumulates kernel activity counters across streams; Run
-	// flushes it into Config.Stats. Always maintained (the increments are
-	// noise next to the scoring arithmetic) so benchmarks measure the same
-	// code path the serving layer runs.
-	tally StreamStats
-
-	// Hoisted closures for the min-load index (allocated once, not per
-	// vertex).
-	loadOfFn    func(int32) int64
-	untouchedFn func(int32) bool
+	// scanner holds the run's view of the graph, the assignment (parts),
+	// the exact loads, the pooled scratch and the cost-tier index, and
+	// scores every visit.
+	scanner
+	cfg      Config
+	totalW   int64
+	orderRNG splitMix // drives Config.ShuffledOrder
 }
 
 // New validates the configuration and prepares a Partitioner.
@@ -360,41 +333,9 @@ func New(h *hypergraph.Hypergraph, cfg Config) (*Partitioner, error) {
 	}
 	sc := acquireScratch(p)
 	sc.parts = growI32(sc.parts, h.NumVertices())
-	pr := &Partitioner{
-		h:     h,
-		cfg:   cfg,
-		p:     p,
-		parts: sc.parts,
-		loads: sc.loads,
-		sc:    sc,
-		cidx:  cidx,
-	}
-	pr.loadOfFn = func(i int32) int64 { return pr.loads[i] }
-	pr.untouchedFn = func(i int32) bool { return pr.sc.pstamp[i] != pr.sc.epoch }
-	pr.fastEligible = fastScanEligible(cfg, cidx, p)
+	pr := &Partitioner{cfg: cfg}
+	pr.scanner.init(h, &pr.cfg, cidx, sc, &sc.nbrs, sc.parts, sc.loads, sc.expected)
 	return pr, nil
-}
-
-// fastScanEligible decides whether the touched-only scan can beat the
-// exhaustive one for this (cost structure, p) pair.
-func fastScanEligible(cfg Config, cidx *CostIndex, p int) bool {
-	if cfg.forceExhaustive || p <= 1 {
-		return false
-	}
-	if cfg.forceTouchedOnly {
-		return true
-	}
-	switch cidx.kind {
-	case costUniform:
-		// Above the probe grid's ceiling the answer cannot depend on the
-		// measurement — skip the one-time calibration probe entirely so
-		// large-p first requests never pay its latency.
-		return p >= calFallbackCutoff || p >= uniformFastCutoff()
-	case costBlocked:
-		return p >= blockedScanMinPartitions
-	default:
-		return p >= boundedScanMinPartitions
-	}
 }
 
 // Release returns the Partitioner's pooled buffers; the Partitioner (and any
@@ -449,138 +390,45 @@ func FennelAlpha(p, numEdges, numVertices int) float64 {
 
 // Run executes Algorithm 1 and returns the resulting partition.
 func (pr *Partitioner) Run() Result {
-	nv := pr.h.NumVertices()
 	pr.resetAssignment()
-	if !pr.sc.nbrs.Materialised() {
-		pr.tally.PinWalkRuns++
-	}
-	expected := pr.expectedLoads()
-
-	alpha := pr.cfg.Alpha0
-	patience := pr.cfg.Patience
-	if patience <= 0 {
-		patience = 1
-	}
-	res := Result{Stopped: StoppedMaxIterations}
-	// bestParts is the lowest-cost in-tolerance partition seen so far; it is
-	// what a stop in the refinement phase returns (the paper's "return
-	// P^{n-1}" generalised to patience > 1). Only the refinement policy
-	// needs it, so it is sized here, not in acquireScratch.
-	if pr.cfg.RefinementPolicy == RefineUntilNoImprovement {
-		pr.sc.bestParts = growI32(pr.sc.bestParts, nv)
-	}
-	bestParts := pr.sc.bestParts
-	bestCost := math.Inf(1)
-	haveBest := false
-	badStreak := 0
-
-	var order []int32
-	var orderRNG *splitMix
+	pr.tally = StreamStats{}
 	if pr.cfg.ShuffledOrder {
-		pr.sc.order = growI32(pr.sc.order, nv)
-		order = pr.sc.order
-		for i := range order {
-			order[i] = int32(i)
+		pr.sc.order = growI32(pr.sc.order, len(pr.parts))
+		for i := range pr.sc.order {
+			pr.sc.order[i] = int32(i)
 		}
-		orderRNG = &splitMix{state: pr.cfg.Seed ^ 0x5eed}
+		pr.orderRNG = splitMix{state: pr.cfg.Seed ^ 0x5eed}
 	}
 	if pr.cfg.FrontierRestreaming {
 		// Fresh stamps per run keep frontier runs deterministic no matter
 		// what a pooled scratch streamed before.
-		pr.sc.dirty = growI32(pr.sc.dirty, nv)
+		pr.sc.dirty = growI32(pr.sc.dirty, len(pr.parts))
 		for i := range pr.sc.dirty {
 			pr.sc.dirty[i] = 0
 		}
 	}
-
-	lastInTol := false
-	consecFrontier := 0
-	for n := 1; n <= pr.cfg.MaxIterations; n++ {
-		if pr.cfg.Stop != nil && pr.cfg.Stop() {
-			res.Stopped = StoppedCanceled
-			break
-		}
-		if pr.cfg.ShuffledOrder {
-			orderRNG.shuffle(order)
-		}
-		frontier := pr.cfg.FrontierRestreaming && n > 1 && lastInTol &&
-			consecFrontier+1 < frontierFullSweepEvery
-		if frontier {
-			consecFrontier++
-		} else {
-			consecFrontier = 0
-		}
-		moves := pr.stream(alpha, expected, order, n, frontier)
-		res.Iterations = n
-
-		imb := pr.imbalance(expected)
-		inTol := imb <= pr.cfg.ImbalanceTolerance
-		lastInTol = inTol
-		cost := pr.sc.pairs.Cost(pr.cfg.CostMatrix)
-
-		st := IterationStats{
-			Iteration:   n,
-			CommCost:    cost,
-			Imbalance:   imb,
-			Alpha:       alpha,
-			Moves:       moves,
-			InTolerance: inTol,
-		}
-		if pr.cfg.RecordHistory {
-			res.History = append(res.History, st)
-		}
-		if pr.cfg.Progress != nil {
-			pr.cfg.Progress(st)
-		}
-
-		if !inTol {
-			// Outside tolerance: keep tempering up.
-			alpha *= pr.cfg.TemperFactor
-			continue
-		}
-
-		if pr.cfg.RefinementPolicy == StopAtTolerance {
-			res.Stopped = StoppedAtTolerance
-			break
-		}
-
-		// Refinement phase: track the best in-tolerance partition and stop
-		// once the monitored metric has failed to improve for `patience`
-		// consecutive streams.
-		if !haveBest || cost < bestCost {
-			bestCost = cost
-			copy(bestParts, pr.parts)
-			haveBest = true
-			badStreak = 0
-		} else {
-			badStreak++
-			if badStreak >= patience {
-				res.Stopped = StoppedNoImprovement
-				break
-			}
-		}
-		alpha *= pr.cfg.RefinementFactor
-	}
-	// The pair counts track the last stream's partition, so a restored
-	// best partition reports the cost recorded when it was seen.
-	if haveBest {
-		copy(pr.parts, bestParts)
-		res.FinalCommCost = bestCost
-	} else {
-		res.FinalCommCost = pr.sc.pairs.Cost(pr.cfg.CostMatrix)
-	}
-
-	res.Parts = append([]int32(nil), pr.parts...)
-	res.FinalImbalance = metrics.Imbalance(metrics.Loads(pr.h, res.Parts, pr.p))
-	if pr.cfg.Stats != nil {
-		pr.cfg.Stats.Add(pr.tally)
-		pr.tally = StreamStats{}
-	}
-	return res
+	return restream(pr.h, &pr.cfg, pr, pr.sc, !pr.sc.nbrs.Materialised())
 }
 
+// pass is the serial kernel's restreamer pass: one stream, then the
+// convergence check from the pair counts the stream kept current.
+func (pr *Partitioner) pass(n int, alpha float64, frontier bool) (int, float64, float64) {
+	var order []int32
+	if pr.cfg.ShuffledOrder {
+		order = pr.sc.order
+		pr.orderRNG.shuffle(order)
+	}
+	moves := pr.stream(alpha, order, n, frontier)
+	return moves, imbalance(pr.cfg.Capacities, pr.loads, pr.expected), pr.sc.pairs.Cost(pr.cfg.CostMatrix)
+}
+
+func (pr *Partitioner) assignment() []int32   { return pr.parts }
+func (pr *Partitioner) initialCost() float64  { return pr.sc.pairs.Cost(pr.cfg.CostMatrix) }
+func (pr *Partitioner) counters() StreamStats { return pr.tally }
+
 // resetAssignment restores the initial assignment (round-robin, or the
-// caller's when repartitioning), the loads derived from it, and the pair
+// caller's when repartitioning), the loads and expected loads derived from
+// it, and the pair
 // counts of PC(P), and builds the run's neighbour lists. Lists and counts
 // come from the run's one pin walk; stream keeps the counts current from
 // then on. Run starts with it; the kernel benchmarks call it to restart
@@ -604,6 +452,7 @@ func (pr *Partitioner) resetAssignment() {
 		pr.loads[pr.parts[v]] += w
 		pr.totalW += w
 	}
+	expectedLoads(pr.expected, pr.cfg.Capacities, pr.totalW)
 	sc := pr.sc
 	sc.pairs.Reset(p)
 	if pr.cfg.forcePinWalk {
@@ -612,49 +461,6 @@ func (pr *Partitioner) resetAssignment() {
 		return
 	}
 	sc.nbrs.Build(h, pr.cfg.UseEdgeWeights, &sc.walk, &sc.pairs, pr.parts)
-}
-
-// expectedLoads returns E(i) per partition: totalW/p for homogeneous
-// machines, or proportional to the configured capacities.
-func (pr *Partitioner) expectedLoads() []float64 {
-	expected := pr.sc.expected
-	if pr.cfg.Capacities == nil {
-		e := float64(pr.totalW) / float64(pr.p)
-		if e == 0 {
-			e = 1
-		}
-		for i := range expected {
-			expected[i] = e
-		}
-		return expected
-	}
-	var capTotal float64
-	for _, c := range pr.cfg.Capacities {
-		capTotal += c
-	}
-	for i, c := range pr.cfg.Capacities {
-		e := float64(pr.totalW) * c / capTotal
-		if e <= 0 {
-			e = 1
-		}
-		expected[i] = e
-	}
-	return expected
-}
-
-// imbalance returns the workload imbalance: the paper's max/mean ratio for
-// homogeneous partitions, or max_i W(i)/E(i) under heterogeneous capacities.
-func (pr *Partitioner) imbalance(expected []float64) float64 {
-	if pr.cfg.Capacities == nil {
-		return metrics.Imbalance(pr.loads)
-	}
-	worst := 0.0
-	for i, l := range pr.loads {
-		if r := float64(l) / expected[i]; r > worst {
-			worst = r
-		}
-	}
-	return worst
 }
 
 // splitMix is a tiny local PRNG for the optional shuffled stream order
@@ -680,43 +486,18 @@ func (s *splitMix) shuffle(xs []int32) {
 // returns the number of vertices that moved. order, when non-nil, gives the
 // visiting sequence; nil means natural order. pass is the 1-based iteration
 // number; when frontierOnly is set, only vertices whose dirty stamp matches
-// this pass (they or a neighbour moved last pass) are visited.
-//
-// Candidate scoring dispatches on the cost-tier index's classification of
-// the matrix: uniform → pickUniform (single heap pop), blocked
-// (hierarchical) → pickBlocked (tiered block walk), unstructured →
-// pickBounded (scalar-bound pruned scan). Every fast scan is move-for-move
-// identical to the exhaustive O(p) reference (pickExhaustive) but costs
-// far less per vertex. They need α > 0 — the untouched-candidate ordering
-// assumes load is a penalty — which only a caller-supplied Alpha0 ≤ 0 can
-// violate; that falls back to the exhaustive scan.
-func (pr *Partitioner) stream(alpha float64, expected []float64, order []int32, pass int, frontierOnly bool) int {
+// this pass (they or a neighbour moved last pass) are visited. Every move
+// updates the loads, the scanner's load minima and the pair counts of
+// PC(P) in place.
+func (pr *Partitioner) stream(alpha float64, order []int32, pass int, frontierOnly bool) int {
 	h := pr.h
 	sc := pr.sc
 	nv := h.NumVertices()
 	moves := 0
-
-	fast := pr.fastEligible && alpha > 0
-	kind := pr.cidx.kind
-	if fast {
-		// The uniform and bounded strategies keep the global min-load
-		// heap; the blocked scan keeps flat per-block argmin caches.
-		if kind == costBlocked {
-			sc.resetBlockState(len(pr.cidx.blocks))
-		} else {
-			sc.minIdx.reset(expected, pr.loadOfFn)
-		}
-	}
-	// Per-stream pruning verdicts for the structured scans (see
-	// pickBounded and pickBlocked).
-	scanOff := false
-	scanTried, scanWork := 0, 0
-	nb := len(pr.cidx.blocks)
+	pr.begin(alpha)
 	mark := pr.cfg.FrontierRestreaming
 	next := int32(pass) + 1
-	// Stream-local activity counters, flushed into the tally once at the
-	// end so the hot loop touches registers, not struct fields.
-	var nExh, nUni, nBlk, nBnd, nFallback, visited int64
+	var visited int64
 
 	for idx := 0; idx < nv; idx++ {
 		v := idx
@@ -732,500 +513,23 @@ func (pr *Partitioner) stream(alpha float64, expected []float64, order []int32, 
 			}
 			visited++
 		}
-		nbrs := pr.gatherNeighbourCounts(v)
-
-		var bestPart int32
-		switch {
-		case !fast || scanOff:
-			bestPart = pr.pickExhaustive(v, alpha, expected)
-			nExh++
-			if scanOff {
-				nFallback++
-			}
-		case kind == costUniform:
-			bestPart = pr.pickUniform(v, alpha, expected)
-			nUni++
-		case kind == costBlocked:
-			var work int
-			bestPart, work = pr.pickBlocked(v, alpha, expected)
-			nBlk++
-			scanTried++
-			scanWork += work
-			// The block walk wins while pruning keeps the scored set small;
-			// if the observed work approaches the exhaustive scan's p, stop
-			// paying the heap traffic for the rest of this stream. The next
-			// stream re-evaluates.
-			if scanTried >= 128 && scanWork > scanTried*(nb+pr.p/2) {
-				scanOff = true
-			}
-		default:
-			var pops int
-			bestPart, pops = pr.pickBounded(v, alpha, expected)
-			nBnd++
-			scanTried++
-			scanWork += pops
-			// The pruned scan only beats the exhaustive one when the load
-			// bound closes almost immediately; once the observed pop work
-			// says otherwise (α decayed, loads equalised), stop paying the
-			// heap traffic for the rest of this stream.
-			if scanTried >= 128 && scanWork > 3*scanTried {
-				scanOff = true
-			}
-		}
-
-		if old := pr.parts[v]; bestPart != old {
+		nbrs := pr.gather(v)
+		old := pr.parts[v]
+		if best := pr.pick(v, old, alpha); best != old {
 			w := h.VertexWeight(v)
 			pr.loads[old] -= w
-			pr.loads[bestPart] += w
-			pr.parts[v] = bestPart
-			pr.movePairs(old, bestPart)
-			if fast && !scanOff {
-				if kind == costBlocked {
-					sc.blockNoteMove(pr.cidx, old, bestPart,
-						float64(pr.loads[old])/expected[old])
-				} else {
-					sc.minIdx.update(old, pr.loads[old])
-					sc.minIdx.update(bestPart, pr.loads[bestPart])
-				}
-			}
+			pr.loads[best] += w
+			pr.parts[v] = best
+			pr.movePairs(old, best)
+			pr.noteMove(old, best)
 			if mark {
 				markDirty(sc.dirty, v, nbrs, next)
 			}
 			moves++
 		}
 	}
-
-	t := &pr.tally
-	t.Passes++
-	if frontierOnly {
-		t.FrontierPasses++
-		t.FrontierVisited += visited
-	}
-	t.Moves += int64(moves)
-	t.ScanExhaustive += nExh
-	t.ScanUniform += nUni
-	t.ScanBlocked += nBlk
-	t.ScanBounded += nBnd
-	t.ExhaustiveFallbacks += nFallback
-	if kind == costBlocked {
-		t.BlockedWork += int64(scanWork)
-	} else {
-		t.BoundedPops += int64(scanWork)
-	}
+	pr.end(int64(moves), visited)
 	return moves
-}
-
-// pickExhaustive scores every partition for v: the original O(p) kernel and
-// the reference that the touched-only scan must match move for move.
-func (pr *Partitioner) pickExhaustive(v int, alpha float64, expected []float64) int32 {
-	h, p := pr.h, pr.p
-	sc := pr.sc
-	cost := pr.cfg.CostMatrix
-
-	// Number of partitions holding neighbours of v; A_i(v) per eq 3.
-	nbrParts := float64(len(sc.touched))
-
-	bestPart := int32(0)
-	bestVal := math.Inf(-1)
-	for i := 0; i < p; i++ {
-		// T_i(v) = Σ_j X_j(v)·C(i,j); C(i,i)=0 removes the self term.
-		t := 0.0
-		ci := cost[i]
-		for _, j := range sc.touched {
-			t += sc.xCounts[j] * ci[j]
-		}
-		// N_i(v): neighbour partitions other than i, normalised by p.
-		ni := nbrParts
-		if sc.pstamp[i] == sc.epoch {
-			ni-- // v has neighbours in i itself; those don't count
-		}
-		ni /= float64(p)
-
-		val := -ni*t - alpha*float64(pr.loads[i])/expected[i]
-		if pr.cfg.MigrationPenalty > 0 && int32(i) != pr.parts[v] {
-			val -= pr.cfg.MigrationPenalty * float64(h.VertexWeight(v))
-		}
-		if val > bestVal || (val == bestVal && int32(i) == pr.parts[v]) {
-			bestVal = val
-			bestPart = int32(i)
-		}
-	}
-	return bestPart
-}
-
-// considerCandidate folds candidate i with value val into the running
-// (bestVal, bestPart) selection, reproducing pickExhaustive's outcome from
-// an arbitrary evaluation order: the exhaustive ascending-index loop returns
-// the current partition if it ties the maximum, otherwise the lowest-index
-// maximizer.
-func considerCandidate(bestVal *float64, bestPart *int32, i, cur int32, val float64) {
-	if *bestPart < 0 || val > *bestVal ||
-		(val == *bestVal && (i == cur || (*bestPart != cur && i < *bestPart))) {
-		*bestVal = val
-		*bestPart = i
-	}
-}
-
-// pickUniform is the touched-only scan for uniform off-diagonal cost
-// matrices (HyperPRAW-basic, and the uniform benchmarks). Every untouched
-// partition shares one communication term, so the best untouched candidate
-// is exactly the minimum of W(i)/E(i) — ties on the lowest index — which the
-// min-load index supplies without scanning all p. Only |touched| + 2
-// candidates (touched partitions, that fallback, and the vertex's current
-// partition, which never pays the migration penalty) are scored, each with
-// pickExhaustive's floating-point arithmetic operation for operation.
-func (pr *Partitioner) pickUniform(v int, alpha float64, expected []float64) int32 {
-	sc := pr.sc
-	c := pr.cidx.uniformC
-	p := float64(pr.p)
-	nbrParts := float64(len(sc.touched))
-	cur := pr.parts[v]
-	penalty := 0.0
-	if pr.cfg.MigrationPenalty > 0 {
-		penalty = pr.cfg.MigrationPenalty * float64(pr.h.VertexWeight(v))
-	}
-	// T_i(v) of any untouched candidate, accumulated in touched order like
-	// the exhaustive loop (C(i,j) = c for every touched j, since i ≠ j).
-	tU := 0.0
-	for _, j := range sc.touched {
-		tU += sc.xCounts[j] * c
-	}
-
-	bestPart := int32(-1)
-	bestVal := math.Inf(-1)
-	for _, i := range sc.touched {
-		// T_i for touched i drops the j == i term, which the exhaustive loop
-		// adds as xCounts[i]·C(i,i) = +0.0 — a bitwise no-op.
-		t := 0.0
-		for _, j := range sc.touched {
-			if j != i {
-				t += sc.xCounts[j] * c
-			}
-		}
-		ni := (nbrParts - 1) / p
-		val := -ni*t - alpha*float64(pr.loads[i])/expected[i]
-		if penalty > 0 && i != cur {
-			val -= penalty
-		}
-		considerCandidate(&bestVal, &bestPart, i, cur, val)
-	}
-	niU := nbrParts / p
-	if e, ok := sc.minIdx.popBestUntouched(pr.untouchedFn); ok {
-		val := -niU*tU - alpha*float64(pr.loads[e.idx])/expected[e.idx]
-		if penalty > 0 && e.idx != cur {
-			val -= penalty
-		}
-		considerCandidate(&bestVal, &bestPart, e.idx, cur, val)
-	}
-	sc.minIdx.restore()
-	if sc.pstamp[cur] != sc.epoch {
-		val := -niU*tU - alpha*float64(pr.loads[cur])/expected[cur]
-		considerCandidate(&bestVal, &bestPart, cur, cur, val)
-	}
-	return bestPart
-}
-
-// pickBounded is the touched-only scan for general cost matrices (the
-// profiled HyperPRAW-aware case). Touched partitions and the current one are
-// scored exactly; untouched candidates are drawn from the min-load index in
-// ascending W(i)/E(i) order and scored exactly until an upper bound on every
-// remaining candidate — communication no cheaper than the smallest off-
-// diagonal entry allows, load no lighter than the next candidate's — falls
-// below the best value seen. The bound discriminates whenever the α-weighted
-// load spread exceeds the communication-term spread (the tempering phase,
-// and refinement on unbalanced loads); when it cannot (α decayed and loads
-// equalised), the pop budget trips and the vertex falls back to the
-// exhaustive scan, bounding the overhead at a fraction of the O(p) cost
-// instead of letting the heap churn exceed it. pops reports the candidates
-// examined, so the stream can stop trying once pop work dominates.
-func (pr *Partitioner) pickBounded(v int, alpha float64, expected []float64) (best int32, pops int) {
-	sc := pr.sc
-	cost := pr.cfg.CostMatrix
-	p := float64(pr.p)
-	nbrParts := float64(len(sc.touched))
-	cur := pr.parts[v]
-	penalty := 0.0
-	if pr.cfg.MigrationPenalty > 0 {
-		penalty = pr.cfg.MigrationPenalty * float64(pr.h.VertexWeight(v))
-	}
-	// Σ_j X_j(v): any candidate's communication term is ≥ minOff times this.
-	sumX := 0.0
-	for _, j := range sc.touched {
-		sumX += sc.xCounts[j]
-	}
-	loS := pr.cidx.minOff * sumX
-	niU := nbrParts / p
-
-	bestPart := int32(-1)
-	bestVal := math.Inf(-1)
-	score := func(i int32, isTouched bool) {
-		t := 0.0
-		ci := cost[i]
-		for _, j := range sc.touched {
-			t += sc.xCounts[j] * ci[j]
-		}
-		ni := nbrParts
-		if isTouched {
-			ni--
-		}
-		ni /= p
-		val := -ni*t - alpha*float64(pr.loads[i])/expected[i]
-		if penalty > 0 && i != cur {
-			val -= penalty
-		}
-		considerCandidate(&bestVal, &bestPart, i, cur, val)
-	}
-	for _, i := range sc.touched {
-		score(i, true)
-	}
-	if sc.pstamp[cur] != sc.epoch {
-		score(cur, false)
-	}
-	budget := boundedPopBudget(pr.p)
-	for ; budget > 0; budget-- {
-		e, ok := sc.minIdx.popBestUntouched(pr.untouchedFn)
-		if !ok {
-			break
-		}
-		pops++
-		// Upper bound for e and everything after it (larger W/E); inflated
-		// so rounding can only widen the scan, never cut a winner.
-		ub := -niU*loS - alpha*e.q
-		ub += boundMargin * (math.Abs(ub) + 1)
-		if ub < bestVal {
-			break
-		}
-		score(e.idx, false)
-	}
-	sc.minIdx.restore()
-	if budget == 0 {
-		// The bound is not pruning on this vertex; the exhaustive reference
-		// costs less than draining the heap and returns the identical pick.
-		pr.tally.ExhaustiveFallbacks++
-		return pr.pickExhaustive(v, alpha, expected), pops
-	}
-	return bestPart, pops
-}
-
-// boundedPopBudget is how many untouched candidates pickBounded examines
-// before conceding that the load bound is not pruning and handing the vertex
-// to the exhaustive scan.
-func boundedPopBudget(p int) int {
-	b := p / 8
-	if b < 8 {
-		b = 8
-	}
-	return b
-}
-
-// pickBlocked is the tiered touched-only scan for hierarchical (blocked)
-// cost matrices, the profiled HyperPRAW-aware case the CostIndex was built
-// for. Touched partitions, the current one, and the globally least-loaded
-// partition's best available member (the load champion) are scored
-// exactly up front. The remaining candidates are then walked block by
-// block in ascending communication floor relative to the vertex's
-// heaviest neighbour partition j*, with every block's floor sum
-// Σ_j X_j·floorsTo[j][b] precomputed in one contiguous pass. A block is
-// rejected in O(1) when even (floor comm, exact min member load) cannot
-// beat the incumbent — the floor sums are tight to within-block noise,
-// which is what the scalar min(C)·ΣX bound of pickBounded cannot offer;
-// a surviving block scores members in ascending (W(i)/E(i), i) until the
-// same bound closes. For an exact block the floor sum IS every member's
-// communication term, so the first member scored (the block's
-// lowest-(load, index) one, which dominates its siblings under the
-// exhaustive tie-break) settles the whole block in O(1) after the shared
-// floor pass.
-//
-// work approximates the scan's cost in units of one exhaustive candidate
-// evaluation, so the stream can fall back when the walk stops pruning.
-// Move-for-move parity with pickExhaustive holds by the same argument as
-// the other fast scans: every scored candidate uses the identical
-// floating-point evaluation, pruning is strict (a pruned candidate is
-// strictly worse than the incumbent, margin-inflated against rounding),
-// and considerCandidate reproduces the exhaustive tie-break from any
-// evaluation order.
-func (pr *Partitioner) pickBlocked(v int, alpha float64, expected []float64) (best int32, work int) {
-	sc := pr.sc
-	ci := pr.cidx
-	cost := pr.cfg.CostMatrix
-	p := float64(pr.p)
-	nbrParts := float64(len(sc.touched))
-	cur := pr.parts[v]
-	epoch := sc.epoch
-	penalty := 0.0
-	if pr.cfg.MigrationPenalty > 0 {
-		penalty = pr.cfg.MigrationPenalty * float64(pr.h.VertexWeight(v))
-	}
-	// j*: the touched partition holding the most neighbour mass — the
-	// anchor whose block order the walk follows (any anchor is correct;
-	// the heaviest makes the floor gaps steepest). Defaults to 0 for an
-	// isolated vertex, where every floor sum is zero anyway.
-	jstar := int32(0)
-	xStar := math.Inf(-1)
-	for _, j := range sc.touched {
-		if sc.xCounts[j] > xStar {
-			xStar, jstar = sc.xCounts[j], j
-		}
-	}
-	niU := nbrParts / p
-
-	bestPart := int32(-1)
-	bestVal := math.Inf(-1)
-	score := func(i int32, isTouched bool, tExact float64, haveT bool) {
-		t := tExact
-		if !haveT {
-			t = 0.0
-			row := cost[i]
-			for _, j := range sc.touched {
-				t += sc.xCounts[j] * row[j]
-			}
-		}
-		ni := nbrParts
-		if isTouched {
-			ni--
-		}
-		ni /= p
-		val := -ni*t - alpha*float64(pr.loads[i])/expected[i]
-		if penalty > 0 && i != cur {
-			val -= penalty
-		}
-		sc.sstamp[i] = epoch
-		considerCandidate(&bestVal, &bestPart, i, cur, val)
-	}
-	for _, i := range sc.touched {
-		score(i, true, 0, false)
-	}
-	if sc.pstamp[cur] != epoch {
-		score(cur, false, 0, false)
-	}
-
-	// Refresh stale block minima and find the champion block — the one
-	// holding the globally least-loaded partition. Scoring its best
-	// available member first hands every later bound the strongest load
-	// incumbent the candidate set can produce.
-	champ := int32(-1)
-	q0 := math.Inf(1)
-	for b := range sc.blockMinQ {
-		if sc.blockStale[b] {
-			pr.refreshBlockMin(int32(b), expected)
-			work++
-		}
-		if sc.blockMinQ[b] < q0 {
-			q0, champ = sc.blockMinQ[b], int32(b)
-		}
-	}
-	if champ >= 0 {
-		// The champion's cached argmin is usually still available (only
-		// touched/current partitions are scored so far) — no scan needed.
-		if i := sc.blockMinIdx[champ]; sc.pstamp[i] != epoch && sc.sstamp[i] != epoch {
-			score(i, false, 0, false)
-		} else if i, _, ok := pr.minAvailableInBlock(champ, expected); ok {
-			work++
-			score(i, false, 0, false)
-		}
-	}
-
-	// All block floor sums in one contiguous pass, accumulated in touched
-	// order like every exact evaluation: tLBAll[b] lower-bounds any
-	// member's T_i, and IS the member's T_i when the block is exact.
-	tLBAll := sc.tLBAll
-	for b := range tLBAll {
-		tLBAll[b] = 0
-	}
-	for _, j := range sc.touched {
-		x := sc.xCounts[j]
-		floors := ci.floorsTo[j]
-		for b := range tLBAll {
-			tLBAll[b] += x * floors[b]
-		}
-	}
-	work += len(sc.touched) * len(tLBAll) / 64
-
-	for _, b := range ci.blockOrder[jstar] {
-		tLB := tLBAll[b]
-		// O(1) block rejection: blockMinQ[b] is the exact minimum
-		// normalised load over the block's members (a lower bound for
-		// the unscored ones), so if even (floor comm, min load) cannot
-		// beat the incumbent, nothing in the block can. Inflated so
-		// rounding can only widen the scan.
-		ubBlock := -niU*tLB - alpha*sc.blockMinQ[b] - penalty
-		ubBlock += boundMargin * (math.Abs(ubBlock) + 1)
-		if ubBlock < bestVal {
-			pr.tally.BlockRejections++
-			continue
-		}
-		exact := ci.blocks[b].exact
-		first := true
-		for {
-			var i int32
-			var q float64
-			var ok bool
-			// The cached argmin doubles as the block's first candidate
-			// when still available, skipping one member scan.
-			if i = sc.blockMinIdx[b]; first && sc.pstamp[i] != epoch && sc.sstamp[i] != epoch {
-				q, ok = sc.blockMinQ[b], true
-			} else {
-				i, q, ok = pr.minAvailableInBlock(b, expected)
-				work++
-			}
-			first = false
-			if !ok {
-				break
-			}
-			// Upper bound for this member and everything after it in the
-			// block (heavier load, communication no cheaper than the
-			// floor).
-			ub := -niU*tLB - alpha*q - penalty
-			ub += boundMargin * (math.Abs(ub) + 1)
-			if ub < bestVal {
-				break
-			}
-			score(i, false, tLB, exact)
-			if exact {
-				// Exact block: every sibling shares this T_i, so the
-				// lowest-(load, index) member just scored dominates them
-				// under the exhaustive tie-break.
-				pr.tally.ExactSettles++
-				break
-			}
-		}
-	}
-	return bestPart, work
-}
-
-// refreshBlockMin recomputes block b's cached (min load, argmin) from the
-// live loads.
-func (pr *Partitioner) refreshBlockMin(b int32, expected []float64) {
-	sc := pr.sc
-	bq, bi := math.Inf(1), int32(-1)
-	for _, i := range pr.cidx.blocks[b].members {
-		if q := float64(pr.loads[i]) / expected[i]; q < bq {
-			bq, bi = q, i
-		}
-	}
-	sc.blockMinQ[b], sc.blockMinIdx[b] = bq, bi
-	sc.blockStale[b] = false
-}
-
-// minAvailableInBlock returns block b's least-loaded member (ties to the
-// lowest index) that is neither touched nor already scored for the
-// current vertex; ok is false when every member is spoken for.
-func (pr *Partitioner) minAvailableInBlock(b int32, expected []float64) (idx int32, q float64, ok bool) {
-	sc := pr.sc
-	epoch := sc.epoch
-	bq, bi := math.Inf(1), int32(-1)
-	for _, i := range pr.cidx.blocks[b].members {
-		if sc.pstamp[i] == epoch || sc.sstamp[i] == epoch {
-			continue
-		}
-		if qi := float64(pr.loads[i]) / expected[i]; qi < bq {
-			bq, bi = qi, i
-		}
-	}
-	if bi < 0 {
-		return 0, 0, false
-	}
-	return bi, bq, true
 }
 
 // movePairs keeps the pair counts of PC(P) current across one vertex's
@@ -1261,37 +565,6 @@ func markDirty(dirty []int32, v int, nbrs []int32, next int32) {
 			dirty[u] = next
 		}
 	}
-}
-
-// gatherNeighbourCounts fills xCounts/touched with X_j(v): the number of
-// distinct neighbours of v in each partition j (paper eq 4), or with
-// UseEdgeWeights their summed shared hyperedge weight — every (edge,
-// neighbour) incidence contributes w(e), modelling per-edge communication
-// volume (§8.2). It iterates v's neighbour list, so partitions are touched
-// in the order a pin walk first meets them and, the weights being exact
-// integers, every sum equals the pin walk's bit for bit. It returns the
-// list for markDirty. Partition-stamp wraparound (after 2^31−2 gathers,
-// e.g. a pooled scratch serving jobs for days) is handled by
-// scratch.bumpEpoch, which zeroes the stamps and restarts the epoch at 1.
-func (pr *Partitioner) gatherNeighbourCounts(v int) []int32 {
-	sc := pr.sc
-	epoch := sc.bumpEpoch()
-	sc.touched = sc.touched[:0]
-	nbrs, wts := sc.nbrs.Of(v, &sc.walk)
-	for i, u := range nbrs {
-		part := pr.parts[u]
-		if sc.pstamp[part] != epoch {
-			sc.pstamp[part] = epoch
-			sc.xCounts[part] = 0
-			sc.touched = append(sc.touched, part)
-		}
-		if wts == nil {
-			sc.xCounts[part]++
-		} else {
-			sc.xCounts[part] += float64(wts[i])
-		}
-	}
-	return nbrs
 }
 
 // Partition is the one-call convenience wrapper: configure, run, return the

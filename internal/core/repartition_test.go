@@ -43,18 +43,28 @@ func TestMigrationPenaltyReducesChurn(t *testing.T) {
 	cost := profile.UniformCost(k)
 	first := mustRun(t, h, DefaultConfig(cost))
 
-	run := func(penalty float64) float64 {
+	// workers 0 runs the serial kernel; 4 the parallel one, which scores
+	// the penalty with the same scanner.
+	run := func(penalty float64, workers int) float64 {
 		cfg := DefaultConfig(cost)
 		cfg.InitialParts = first.Parts
 		cfg.MigrationPenalty = penalty
 		cfg.MaxIterations = 10
-		out := mustRun(t, h, cfg)
+		if workers == 0 {
+			return movedFraction(first.Parts, mustRun(t, h, cfg).Parts)
+		}
+		out, err := PartitionParallel(h, cfg, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return movedFraction(first.Parts, out.Parts)
 	}
-	free := run(0)
-	penalised := run(50)
-	if penalised > free {
-		t.Fatalf("migration penalty increased churn: %.3f vs %.3f", penalised, free)
+	for _, workers := range []int{0, 4} {
+		free := run(0, workers)
+		penalised := run(50, workers)
+		if penalised > free {
+			t.Fatalf("workers=%d: migration penalty increased churn: %.3f vs %.3f", workers, penalised, free)
+		}
 	}
 }
 
